@@ -20,57 +20,21 @@ import pathlib
 import pytest
 
 from repro.apps.sor import build_sor
-from repro.config import ClusterSpec, NetworkSpec, ProcessorSpec, RunConfig
+from repro.bench.workloads import cell_compute_loop, cell_pingpong, run_cell
 from repro.experiments.common import run_point
-from repro.sim import Cluster, Compute, Recv, Send
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_baseline.json"
 
 
-def _pingpong(n_messages):
-    spec = ClusterSpec(
-        n_slaves=2, processor=ProcessorSpec(), network=NetworkSpec()
-    )
-    cluster = Cluster(spec)
-
-    def ping(ctx):
-        for i in range(n_messages):
-            yield Send(1, "ping", i, 8)
-            yield Recv(src=1, tag="pong")
-
-    def pong(ctx):
-        for _ in range(n_messages):
-            msg = yield Recv(src=0, tag="ping")
-            yield Send(0, "pong", msg.payload, 8)
-
-    cluster.spawn(0, ping)
-    cluster.spawn(1, pong)
-    cluster.run()
-    return cluster.message_count
-
-
-def _compute_loop(n_chunks):
-    spec = ClusterSpec(n_slaves=1)
-    cluster = Cluster(spec)
-
-    def worker(ctx):
-        for _ in range(n_chunks):
-            yield Compute(1000)
-
-    cluster.spawn(0, worker)
-    cluster.run()
-    return cluster.engine.now
-
-
 def test_message_pingpong_throughput(benchmark):
-    count = benchmark(_pingpong, 2000)
-    assert count == 4000
+    out = benchmark(cell_pingpong, 2000)
+    assert out["meta"]["messages"] == 4000
     # Floor: the suite needs >= ~20k messages/sec to stay usable.
     assert benchmark.stats["mean"] < 4000 / 20000
 
 
 def test_compute_event_throughput(benchmark):
-    benchmark(_compute_loop, 5000)
+    benchmark(cell_compute_loop, 5000)
     assert benchmark.stats["mean"] < 5000 / 20000
 
 
@@ -84,7 +48,6 @@ def test_hot_path_speedup_vs_committed_baseline():
     stable on noisy shared runners without lowering the bar.
     """
     from repro.bench.harness import calibrate, compare_docs
-    from repro.bench.workloads import run_cell
 
     baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
     base_cells = {

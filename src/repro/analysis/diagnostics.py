@@ -186,19 +186,6 @@ REGISTRY: dict[str, CodeInfo] = {
     "RA704": CodeInfo(
         _E, "model: protocol-specific safety invariant violated", "model"
     ),
-    # Differential engine equivalence (RA8xx)
-    "RA801": CodeInfo(
-        _E,
-        "engine: batch event core trace not byte-identical to the "
-        "reference engine",
-        "engine",
-    ),
-    "RA802": CodeInfo(
-        _E,
-        "engine: batch event core run outcome (results/metrics) "
-        "diverges from the reference engine",
-        "engine",
-    ),
 }
 
 #: Backward-compatible view: code -> one-line summary.

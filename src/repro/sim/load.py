@@ -178,31 +178,45 @@ class OscillatingLoad(LoadGenerator):
                 f"need 0 < duration <= period, got duration={duration} period={period}"
             )
 
+    def _segment(self, t: float) -> tuple[bool, float, float]:
+        """``(loaded, seg_start, seg_end)`` of the segment holding ``t >= start``.
+
+        Boundaries are the float values ``start + c * period`` and
+        ``start + c * period + duration`` (exact on a representable
+        grid).  The cycle index is corrected against those values, not
+        against ``t - start``, whose rounding can place ``t`` one cycle
+        off; so ``seg_start <= t < seg_end`` always holds and k_at,
+        next_change and segment_start agree on every segment.
+        """
+        start, period = self.start, self.period
+        cycle = math.floor((t - start) / period)
+        on = start + cycle * period
+        while t < on:
+            cycle -= 1
+            on = start + cycle * period
+        nxt = start + (cycle + 1) * period
+        while t >= nxt:
+            cycle += 1
+            on, nxt = nxt, start + (cycle + 1) * period
+        off = on + self.duration
+        if t < off:
+            return True, on, min(off, nxt)
+        return False, off, nxt
+
     def k_at(self, t: float) -> int:
         if t < self.start:
             return 0
-        phase = (t - self.start) % self.period
-        return self.k if phase < self.duration else 0
+        return self.k if self._segment(t)[0] else 0
 
     def next_change(self, t: float) -> float:
         if t < self.start:
             return self.start
-        elapsed = t - self.start
-        cycle = math.floor(elapsed / self.period)
-        phase = elapsed - cycle * self.period
-        if phase < self.duration:
-            return self.start + cycle * self.period + self.duration
-        return self.start + (cycle + 1) * self.period
+        return self._segment(t)[2]
 
     def segment_start(self, t: float) -> float:
         if t < self.start:
             return 0.0
-        elapsed = t - self.start
-        cycle = math.floor(elapsed / self.period)
-        phase = elapsed - cycle * self.period
-        if phase < self.duration:
-            return self.start + cycle * self.period
-        return self.start + cycle * self.period + self.duration
+        return self._segment(t)[1]
 
     def __repr__(self) -> str:
         return (

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from repro.config import ProcessorSpec
 from repro.errors import ConfigError
 from repro.sim.load import (
     CompositeLoad,
@@ -13,6 +14,7 @@ from repro.sim.load import (
     OscillatingLoad,
     StepLoad,
 )
+from repro.sim.processor import Processor
 
 
 class TestNoLoad:
@@ -87,6 +89,70 @@ class TestOscillatingLoad:
             OscillatingLoad(k=1, period=10.0, duration=11.0)
         with pytest.raises(ConfigError):
             OscillatingLoad(k=1, period=0.0, duration=0.0)
+
+    def test_boundary_rounding_regression(self):
+        # start + 30 rounds onto t, while t - start rounds to just under
+        # 30: the old arithmetic returned t itself from next_change and
+        # Processor.run_cpu never terminated.
+        g = OscillatingLoad(k=1, period=20, duration=10, start=6.236629040209709)
+        t = 36.236629040209706
+        nxt = g.next_change(t)
+        assert nxt > t
+        assert g.k_at(t) == g.k_at(math.nextafter(nxt, -math.inf))
+        assert g.segment_start(t) <= t
+        proc = Processor(0, ProcessorSpec(speed=1e6, quantum=0.1), g)
+        assert proc.run_cpu(t, 1.0) > t
+
+    @pytest.mark.parametrize("period", [2.0, 4.0, 6.0, 20.0])
+    def test_grid_aligned_matches_plain_arithmetic(self, period):
+        # On an exactly representable grid, the segments are the textbook
+        # ones: [start + c*period, +duration) loaded, the rest idle.
+        duration = period / 2
+        for j in range(16):
+            start = period / 16 * j
+            g = OscillatingLoad(k=2, period=period, duration=duration, start=start)
+            for i in range(400):
+                t = start + i * period / 40
+                c = math.floor((t - start) / period)
+                phase = (t - start) - c * period
+                loaded = phase < duration
+                assert g.k_at(t) == (2 if loaded else 0)
+                assert g.next_change(t) == (
+                    start + c * period + duration if loaded
+                    else start + (c + 1) * period
+                )
+                assert g.segment_start(t) == (
+                    start + c * period if loaded else start + c * period + duration
+                )
+
+
+@given(
+    start=st.floats(0.0, 100.0),
+    period=st.floats(0.5, 50.0),
+    frac=st.floats(0.05, 1.0),
+    cycle=st.integers(0, 50),
+    at_off=st.booleans(),
+    ulps=st.integers(-4, 4),
+)
+def test_oscillating_segments_near_boundaries(start, period, frac, cycle, at_off, ulps):
+    """Within a few ulps of any boundary: next_change(t) > t, and k is
+    constant on [t, next_change(t)) including its last float."""
+    g = OscillatingLoad(k=3, period=period, duration=frac * period, start=start)
+    t = start + cycle * period + (frac * period if at_off else 0.0)
+    step = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, step)
+    assume(t >= start)
+    nxt = g.next_change(t)
+    assert nxt > t
+    k = g.k_at(t)
+    assert g.k_at(math.nextafter(nxt, -math.inf)) == k
+    mid = t + (nxt - t) * 0.5
+    if mid < nxt:  # a one-ulp segment has no interior float
+        assert g.k_at(mid) == k
+    seg = g.segment_start(t)
+    assert seg <= t
+    assert g.segment_start(math.nextafter(nxt, -math.inf)) == seg
 
 
 class TestStepLoad:

@@ -250,8 +250,50 @@ class TestErrors:
             yield "not-a-syscall"
 
         cl.spawn(0, t)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="unknown syscall"):
             cl.run()
+
+    def test_negative_sleep_rejected(self):
+        cl = make_cluster()
+
+        def t(ctx):
+            yield Sleep(-1.0)
+
+        cl.spawn(0, t)
+        with pytest.raises(SimulationError, match="negative sleep"):
+            cl.run()
+
+
+class TestRunWindow:
+    def test_until_bound_respected_and_resumable(self):
+        """A run cut mid-chain and resumed ends exactly like one run."""
+
+        def build():
+            cl = make_cluster(n_slaves=1)
+
+            def worker(ctx):
+                for _ in range(100):
+                    yield Compute(1000.0)
+
+            cl.spawn(0, worker)
+            return cl
+
+        def outcome(cl):
+            return (
+                cl.engine.now,
+                cl.engine.events_processed,
+                cl.task_finish_time(0),
+                cl.processors[0].app_cpu_total,
+            )
+
+        cut = 37 * 1000.0 / 1e6  # mid-chain
+        whole, split = build(), build()
+        whole.run()
+        assert split.run(until=cut) == cut
+        assert 0 < split.engine.events_processed < whole.engine.events_processed
+        assert split.engine.pending() == 1
+        split.run()
+        assert outcome(split) == outcome(whole)
 
 
 class TestRusage:

@@ -1,4 +1,4 @@
-"""Mailbox and payload-snapshot tests."""
+"""Mailbox (including slot recycling) and payload-snapshot tests."""
 
 import numpy as np
 import pytest
@@ -46,6 +46,47 @@ class TestMailbox:
         box.deliver(msg(tag="a"))
         assert box.take(tag="z") is None
         assert box.peek(src=9) is None
+
+
+class TestMailboxRecycling:
+    def _msg(self, src, tag, i):
+        return Message(src, 0, tag, i, 8, float(i))
+
+    def test_fifo_per_filter_with_holes(self):
+        box = Mailbox(0)
+        for i in range(6):
+            box.deliver(self._msg(src=i % 2, tag="t", i=i))
+        assert len(box) == 6
+        # Drain src=1 first, punching holes mid-queue.
+        got = [box.take(src=1).payload for _ in range(3)]
+        assert got == [1, 3, 5]
+        assert len(box) == 3
+        got = [box.take(src=0).payload for _ in range(3)]
+        assert got == [0, 2, 4]
+        assert len(box) == 0
+        assert box.take() is None
+        assert not box._queue, "emptied mailbox must release its slots"
+
+    def test_head_prefix_recycles(self):
+        box = Mailbox(0)
+        n = 200
+        for i in range(n):
+            box.deliver(self._msg(0, "t", i))
+        for i in range(n):
+            assert box.take(tag="t").payload == i
+            # The backing list must stay bounded by live entries times
+            # the compaction hysteresis, not grow with total traffic.
+            assert len(box._queue) <= 2 * (n - i) + 34
+        assert len(box) == 0
+
+    def test_peek_skips_holes(self):
+        box = Mailbox(0)
+        box.deliver(self._msg(0, "a", 1))
+        box.deliver(self._msg(0, "b", 2))
+        assert box.take(tag="a").payload == 1
+        assert box.peek().payload == 2
+        assert box.peek(tag="a") is None
+        assert len(box) == 1
 
 
 class TestSnapshotPayload:

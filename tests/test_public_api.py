@@ -18,7 +18,6 @@ MODULES = [
     "repro.cli",
     "repro.bench",
     "repro.bench.harness",
-    "repro.bench.perfgate",
     "repro.bench.workloads",
     "repro.sim",
     "repro.sim.engine",
@@ -36,7 +35,6 @@ MODULES = [
     "repro.obs.report",
     "repro.analysis",
     "repro.analysis.diagnostics",
-    "repro.analysis.equivalence",
     "repro.analysis.ownership",
     "repro.analysis.communication",
     "repro.analysis.movement",
