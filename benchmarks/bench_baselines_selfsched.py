@@ -10,17 +10,19 @@ motion than a central queue, and faster response than diffusion.
 from _util import once, save_table
 
 from repro.apps.matmul import build_matmul
-from repro.baselines import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_diffusion,
-    run_self_scheduling,
-)
+from repro.baselines import run_diffusion
 from repro.config import ClusterSpec, RunConfig
 from repro.experiments.common import ExperimentSeries, run_point
 from repro.sim import ConstantLoad
+from repro.strategies import run_strategy
+
+#: Self-scheduling strategy -> table label (chunk = fixed size 8).
+SELF_SCHEDULING = {
+    "fsc": "chunk",
+    "gss": "guided",
+    "factoring": "factoring",
+    "trapezoid": "trapezoid",
+}
 
 
 def _run():
@@ -43,10 +45,10 @@ def _run():
     series.add("DLB (this paper)", r.elapsed, r.efficiency, r.message_count, r.bytes_sent / 1e6)
     r = run_point(plan, P, loads=loads, dlb=False)
     series.add("static blocks", r.elapsed, r.efficiency, r.message_count, r.bytes_sent / 1e6)
-    for policy in (ChunkPolicy(8), GuidedPolicy(), FactoringPolicy(), TrapezoidPolicy(n, P)):
-        rs = run_self_scheduling(plan, cfg, policy, loads=loads)
+    for strategy, label in SELF_SCHEDULING.items():
+        rs = run_strategy(strategy, plan, cfg, loads).raw
         series.add(
-            f"self-sched/{policy.name}", rs.elapsed, rs.efficiency,
+            f"self-sched/{label}", rs.elapsed, rs.efficiency,
             rs.message_count, rs.bytes_sent / 1e6,
         )
     rd = run_diffusion(plan, cfg, loads=loads)

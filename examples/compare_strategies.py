@@ -6,7 +6,8 @@ machine speed) on 4 slaves with one competing task on slave 0, under:
 
 - static block distribution (no balancing),
 - the paper's dynamic load balancer,
-- central-queue self-scheduling: chunk / guided / factoring / trapezoid,
+- central-queue self-scheduling: fixed chunks (fsc) / guided (gss) /
+  factoring / trapezoid,
 - near-neighbour diffusion balancing.
 
 Watch the last column: the central queue ships every chunk's data from
@@ -14,17 +15,11 @@ the master, while the paper's design moves only the imbalance.
 """
 
 from repro.apps import build_matmul
-from repro.baselines import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_diffusion,
-    run_self_scheduling,
-)
+from repro.baselines import run_diffusion
 from repro.config import ClusterSpec, RunConfig
 from repro.runtime import run_application
 from repro.sim import ConstantLoad
+from repro.strategies import run_strategy
 
 
 def main() -> None:
@@ -46,15 +41,10 @@ def main() -> None:
 
     row("static blocks", run_application(plan, cfg_static, loads=loads))
     row("DLB (this paper)", run_application(plan, cfg, loads=loads))
-    for policy in (
-        ChunkPolicy(8),
-        GuidedPolicy(),
-        FactoringPolicy(),
-        TrapezoidPolicy(n, n_slaves),
-    ):
+    for strategy in ("fsc", "gss", "factoring", "trapezoid"):
         row(
-            f"self-sched {policy.name}",
-            run_self_scheduling(plan, cfg, policy, loads=loads),
+            f"self-sched {strategy}",
+            run_strategy(strategy, plan, cfg, loads).raw,
         )
     row("diffusion", run_diffusion(plan, cfg, loads=loads))
 

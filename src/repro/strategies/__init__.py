@@ -15,7 +15,8 @@ alternatives:
 - ``rdlb`` — robust self-scheduling (central chunk queue with resilient
   chunk reassignment, no rate filtering);
 - ``fsc`` / ``gss`` / ``factoring`` / ``trapezoid`` — the classic
-  self-scheduling chunking variants from :mod:`repro.baselines.self_sched`.
+  self-scheduling chunkings (paper Section 6), served by the ``rdlb``
+  master with reissue only on a holder's crash.
 
 Selection is wired through ``RunConfig.strategy`` and
 ``repro run --strategy``.  The perturbation-robustness bench suite

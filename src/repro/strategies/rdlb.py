@@ -1,26 +1,45 @@
-"""rDLB-style robust self-scheduling: resilient chunk reassignment.
+"""Central-queue self-scheduling, hardened the way rDLB hardens it.
 
-Central-queue self-scheduling (the :mod:`repro.baselines.self_sched`
-family) hardened the way rDLB (Mohammed et al.) hardens DLS techniques:
-the master never blocks, watches request traffic as a heartbeat, and
-when the queue runs dry while chunks are still outstanding it *reissues*
-the oldest outstanding chunk to the next idle requester (bounded
-duplication, first result wins).  No rate filtering, no trend
-estimation, no movement decisions — robustness against both
-perturbation (a slowed worker's chunk is simply finished by someone
-else) and fail-stop crashes comes entirely from reissuing work the
-master still owns.
+This is the repository's one self-scheduling plane (paper Section 6,
+refs [7]-[10]): a master keeps the loop iterations in a central queue
+and idle workers request the next chunk.  Chunking policies:
+
+- :class:`ChunkPolicy` — fixed-size chunks (chunk self-scheduling).
+- :class:`GuidedPolicy` — guided self-scheduling, chunk = ceil(R / P)
+  (Polychronopoulos & Kuck).
+- :class:`FactoringPolicy` — batches of P equal chunks, each batch half
+  the remaining work (Hummel, Schonberg & Flynn).
+- :class:`TrapezoidPolicy` — linearly decreasing chunk sizes from
+  ``first`` to ``last`` (Tzen & Ni).
+
+rDLB (Mohammed, Cavelan & Ciorba) hardens it by reissuing work rather
+than by detecting slowness: the master never blocks, and when the queue
+runs dry while chunks are still outstanding it *reissues* the oldest
+outstanding chunk to the next idle requester (bounded duplication,
+first result wins).
+No rate filtering, no trend estimation, no movement decisions — a
+slowed worker's chunk is simply finished by someone else.  With
+``dup_max=1`` (the classic chunkings in the strategy registry) a chunk
+is reissued only when its holder has crashed.
+
+Crashes are learned from ``ctx.cluster.dead_pids``: the simulator's
+form of a host-failure notice (a closed connection, PVM's
+``pvm_notify``), the same accurate failure detector the protocol model
+assumes.  A worker that is merely slow is never declared dead, however
+long its chunk runs.
 
 The cost is the self-scheduling cost the paper's iteration-ownership
 design avoids — every chunk ships its input data from the master and
 returns its results — plus the duplicated compute of reassigned chunks.
 The perturbation-robustness bench makes both visible.
 
-Supports PARALLEL_MAP plans (independent iterations) only.
+Supports PARALLEL_MAP plans (independent iterations) only, and fault
+plans made of crashes and stalls (see :func:`run_rdlb`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -28,7 +47,7 @@ import numpy as np
 
 from ..compiler.plan import ExecutionPlan, LoopShape
 from ..config import RunConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, ProtocolError
 from ..faults import FaultInjector, FaultPlan
 from ..obs import Recorder
 from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
@@ -38,7 +57,15 @@ from .protocol import RobustTags
 # Module-level alias named `Tags` for the protocol lint's AST resolver.
 Tags = RobustTags
 
-__all__ = ["RdlbConfig", "RdlbResult", "run_rdlb"]
+__all__ = [
+    "ChunkPolicy",
+    "FactoringPolicy",
+    "GuidedPolicy",
+    "RdlbConfig",
+    "RdlbResult",
+    "TrapezoidPolicy",
+    "run_rdlb",
+]
 
 _CHUNKINGS = ("fsc", "gss", "factoring", "trapezoid")
 
@@ -50,23 +77,18 @@ class RdlbConfig:
     Attributes:
         chunking: chunk-sizing policy — ``"fsc"`` (fixed-size),
             ``"gss"`` (guided), ``"factoring"``, or ``"trapezoid"``
-            (the :mod:`repro.baselines.self_sched` policies).
+            (the policy classes below).
         chunk: fixed chunk size when ``chunking="fsc"``.
         dup_max: maximum concurrent assignees per chunk (2 = one
             reissue); bounds the duplicated compute.
         reassign_after: how long a chunk may be outstanding before an
-            idle requester gets a copy even though the holder still
-            looks alive (perturbation robustness: a worker slowed 10x
-            by competing load is indistinguishable from a dead one).
+            idle requester gets a copy even though its holder is alive
+            (perturbation robustness: hedges a chunk stranded on a
+            worker slowed by competing load).
         retry_wait: how long a worker with nothing to do waits before
             re-requesting.  Workers are never parked inside the master —
-            an idle worker keeps polling, which doubles as its
-            heartbeat, so a crash while idle is still detected.
-        dead_after: request-traffic silence before a worker is declared
-            dead and its assignments freed for reassignment.
+            an idle worker keeps polling.
         tick: master poll-loop sleep between empty polls.
-        hard_stall: unconditional no-progress bound; the master stops
-            the run (reporting unfinished units lost) so it never hangs.
     """
 
     chunking: str = "factoring"
@@ -74,9 +96,7 @@ class RdlbConfig:
     dup_max: int = 2
     reassign_after: float = 2.0
     retry_wait: float = 0.2
-    dead_after: float = 4.0
     tick: float = 0.02
-    hard_stall: float = 60.0
 
     def __post_init__(self) -> None:
         if self.chunking not in _CHUNKINGS:
@@ -88,14 +108,8 @@ class RdlbConfig:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
         if self.dup_max < 1:
             raise ConfigError(f"dup_max must be >= 1, got {self.dup_max}")
-        if self.reassign_after <= 0 or self.dead_after <= 0:
-            raise ConfigError("reassign_after and dead_after must be positive")
-        if self.retry_wait <= 0 or self.retry_wait >= self.dead_after:
-            raise ConfigError("retry_wait must be positive and < dead_after")
-        if self.tick <= 0:
-            raise ConfigError("tick must be positive")
-        if self.hard_stall <= self.dead_after:
-            raise ConfigError("hard_stall must exceed dead_after")
+        if self.reassign_after <= 0 or self.retry_wait <= 0 or self.tick <= 0:
+            raise ConfigError("reassign_after, retry_wait and tick must be positive")
 
 
 @dataclass
@@ -138,14 +152,58 @@ class RdlbResult:
         )
 
 
-def _make_policy(rc: RdlbConfig, total: int, n_slaves: int):
-    from ..baselines.self_sched import (
-        ChunkPolicy,
-        FactoringPolicy,
-        GuidedPolicy,
-        TrapezoidPolicy,
-    )
+class ChunkPolicy:
+    """Fixed-size chunking (CSS)."""
 
+    def __init__(self, chunk: int = 1):
+        if chunk < 1:
+            raise ProtocolError(f"chunk must be >= 1, got {chunk}")
+        self.chunk = chunk
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        return min(self.chunk, remaining)
+
+
+class GuidedPolicy:
+    """Guided self-scheduling (GSS): chunk = ceil(remaining / P)."""
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        return max(1, math.ceil(remaining / n_slaves))
+
+
+class FactoringPolicy:
+    """Factoring: allocate batches of P chunks, each batch covering half
+    the remaining iterations."""
+
+    def __init__(self) -> None:
+        self._batch_left = 0
+        self._batch_chunk = 1
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        if self._batch_left <= 0:
+            self._batch_chunk = max(1, math.ceil(remaining / (2 * n_slaves)))
+            self._batch_left = n_slaves
+        self._batch_left -= 1
+        return min(self._batch_chunk, remaining)
+
+
+class TrapezoidPolicy:
+    """Trapezoid self-scheduling (TSS): chunks decrease linearly."""
+
+    def __init__(self, total: int, n_slaves: int, last: int = 1):
+        first = max(1, total // (2 * n_slaves))
+        n_steps = max(1, math.ceil(2 * total / (first + last)))
+        self._chunk = float(first)
+        self._delta = (first - last) / max(1, n_steps - 1)
+        self._last = last
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        c = max(self._last, int(round(self._chunk)))
+        self._chunk = max(float(self._last), self._chunk - self._delta)
+        return min(max(1, c), remaining)
+
+
+def _make_policy(rc: RdlbConfig, total: int, n_slaves: int):
     if rc.chunking == "fsc":
         return ChunkPolicy(rc.chunk)
     if rc.chunking == "gss":
@@ -177,8 +235,7 @@ def _rdlb_worker(ctx, plan: ExecutionPlan, rc: RdlbConfig, exec_num: bool):
         units = msg.payload["units"]
         if not units:
             if msg.payload.get("retry"):
-                # Nothing to hand out right now; keep polling (this is
-                # also the idle worker's heartbeat).
+                # Nothing to hand out right now; keep polling.
                 yield Sleep(rc.retry_wait)
                 continue
             return
@@ -215,16 +272,13 @@ def _rdlb_master(
     total = hi - lo
     queue = list(range(lo, hi))
     policy = _make_policy(rc, total, n_workers)
-    now = ctx.now
     outstanding: dict[int, _Chunk] = {}
     next_chunk = 0
     done_units = 0
     chunks_served = 0
     results: dict[int, list] = {p: [] for p in range(n_workers)}
-    last_heard = {pid: now for pid in range(n_workers)}
     dead: set[int] = set()
     stopped: set[int] = set()
-    last_progress = now
 
     def _cut(pid: int, now: float):
         """Issue the next queue chunk, or reissue an outstanding one."""
@@ -243,9 +297,9 @@ def _rdlb_master(
         for cid, ch in outstanding.items():
             if pid in ch.assignees or len(ch.assignees) >= rc.dup_max:
                 continue
-            live_holders = [a for a in ch.assignees if a not in dead]
-            if live_holders and now - ch.issued_at <= rc.reassign_after:
-                continue  # holder looks healthy and recent; don't duplicate
+            # Dead holders were discarded on their crash notice.
+            if ch.assignees and now - ch.issued_at <= rc.reassign_after:
+                continue  # live holder, recent issue: don't duplicate
             if best is None or ch.issued_at < outstanding[best].issued_at:
                 best = cid
         if best is None:
@@ -265,7 +319,7 @@ def _rdlb_master(
         """Answer one request: work, a reissue, retry-later, or stop."""
         cut = _cut(pid, now)
         if cut is None:
-            if done_units >= total or (queue == [] and not outstanding):
+            if done_units >= total:
                 stopped.add(pid)
                 yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
             else:
@@ -286,70 +340,49 @@ def _rdlb_master(
         )
         yield Send(pid, Tags.WORK, payload, nbytes)
 
-    while len(stopped | dead) < n_workers:
+    while done_units < total and len(dead) < n_workers:
         msg = yield Poll(tag=Tags.REQUEST)
         now = ctx.now
-        if msg is not None:
-            pid = msg.src
-            last_heard[pid] = now
-            dead.discard(pid)  # a false positive resurfaces harmlessly
-            p = msg.payload
-            if p is not None:
-                cid = int(p["chunk"])
-                ch = outstanding.pop(cid, None)
-                if ch is not None:
-                    done_units += len(ch.units)
-                    last_progress = now
-                    results[pid].append((p["units"], p.get("data")))
-                else:
-                    # The other assignee finished first: duplicate result.
-                    stats["duplicates"] = stats.get("duplicates", 0) + 1
-                    if obs.enabled:
-                        obs.metrics.counter("robust.duplicates").inc()
-            yield from _serve(pid, now)
-        else:
+        for pid in sorted(ctx.cluster.dead_pids - dead):
+            # Crash notice: free the dead worker's chunks for reissue.
+            dead.add(pid)
+            stats["deaths"] = stats.get("deaths", 0) + 1
+            for ch in outstanding.values():
+                ch.assignees.discard(pid)
+            if obs.enabled:
+                obs.metrics.counter("robust.deaths").inc()
+                obs.emit_counter(
+                    "robust", "death", now, 1.0, pid=ctx.pid,
+                    meta={"dead": pid},
+                )
+        if msg is None:
             yield Sleep(rc.tick)
-        now = ctx.now
-        for pid in range(n_workers):
-            if (
-                pid not in dead
-                and pid not in stopped
-                and now - last_heard[pid] > rc.dead_after
-            ):
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                for ch in outstanding.values():
-                    ch.assignees.discard(pid)
+            continue
+        pid = msg.src
+        p = msg.payload
+        if p is not None:
+            cid = int(p["chunk"])
+            ch = outstanding.pop(cid, None)
+            if ch is not None:
+                done_units += len(ch.units)
+                results[pid].append((p["units"], p.get("data")))
+            else:
+                # The other assignee finished first: duplicate result.
+                stats["duplicates"] = stats.get("duplicates", 0) + 1
                 if obs.enabled:
-                    obs.metrics.counter("robust.deaths").inc()
-                    obs.emit_counter(
-                        "robust", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid},
-                    )
-        if now - last_progress > rc.hard_stall and outstanding:
-            # Never hang: declare whatever is still outstanding lost.
-            stats["lost_units"] = stats.get("lost_units", 0) + sum(
-                len(ch.units) for ch in outstanding.values()
-            )
-            outstanding.clear()
-            queue.clear()
-            last_progress = now
+                    obs.metrics.counter("robust.duplicates").inc()
+        if pid not in dead:  # a request sent just before its host crashed
+            yield from _serve(pid, now)
 
-    # Late stop broadcast: the silence detector cannot distinguish a
-    # crashed worker from a live one stuck in a long compute (a
-    # heavy-tailed unit under competing load can exceed dead_after).  A
-    # falsely-dead worker finishes eventually, sends one more REQUEST,
-    # and blocks in Recv — queue a stop reply now so that Recv
-    # terminates it.  Sends to genuinely crashed pids are dropped.
+    # Release every live worker that has not been told to stop: it is
+    # polling for work, or finishing a duplicate of a chunk that is
+    # already done, and its next request finds this reply waiting.
     for pid in range(n_workers):
-        if pid not in stopped:
+        if pid not in stopped and pid not in dead:
             yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
 
-    lost = stats.get("lost_units", 0) + sum(
-        len(ch.units) for ch in outstanding.values()
-    )
-    if queue:
-        lost += len(queue)
+    # Units are lost only when every worker crashed.
+    lost = sum(len(ch.units) for ch in outstanding.values()) + len(queue)
     stats["lost_units"] = lost
     if lost and obs.enabled:
         obs.metrics.counter("robust.lost_units").inc(lost)
@@ -368,7 +401,13 @@ def run_rdlb(
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
 ) -> RdlbResult:
-    """Run ``plan`` under rDLB-style robust self-scheduling."""
+    """Run ``plan`` under rDLB-style robust self-scheduling.
+
+    ``faults`` may crash and stall workers.  Crash notices free a dead
+    worker's chunks, and a stalled worker resumes and returns its chunk,
+    so every outstanding chunk eventually completes and the run always
+    terminates.  Plans with message faults or partitions are rejected.
+    """
     run_cfg = run_cfg or RunConfig()
     rc = rdlb or RdlbConfig()
     if plan.shape is not LoopShape.PARALLEL_MAP:
@@ -392,6 +431,12 @@ def run_rdlb(
             raise ConfigError(f"competing load assigned to non-worker pid {pid}")
     injector = None
     if faults is not None and not faults.empty:
+        if faults.message_faults or faults.partitions:
+            raise ConfigError(
+                "robust self-scheduling accepts fault plans of worker "
+                f"crashes and stalls only; plan {faults.name or 'custom'!r} "
+                "has message faults or partitions"
+            )
         faults.validate_for(n)
         injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
     cluster = Cluster(run_cfg.cluster, loads, recorder, injector)

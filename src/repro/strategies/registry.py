@@ -4,17 +4,16 @@
 configs, result types, and fault support differ) into a single callable
 returning a :class:`StrategyOutcome`, which is what the CLI
 (``repro run --strategy``), the perturbation-robustness bench, and the
-chaos harness consume.  The registry also *promotes* the classic
-self-scheduling chunking variants (FSC/GSS/factoring/trapezoid) from
-:mod:`repro.baselines.self_sched` to first-class strategies by routing
-them through the robust self-scheduling master with reassignment
-disabled while the holder is alive (``dup_max=1``) — identical schedule
-to the baseline, plus crash recovery and recorder support for free.
+chaos harness consume.  The classic self-scheduling
+chunkings (FSC/GSS/factoring/trapezoid) are first-class strategies
+served by the robust self-scheduling master with reassignment disabled
+while the holder is alive (``dup_max=1``): a chunk is reissued only
+when its holder crashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..config import RunConfig
@@ -49,13 +48,11 @@ STRATEGIES: dict[str, str] = {
         "robust self-scheduling: central chunk queue with resilient "
         "chunk reassignment (factoring chunks, no rate filtering)"
     ),
-    "fsc": "fixed-size chunk self-scheduling (CSS), promoted baseline",
-    "gss": "guided self-scheduling, promoted baseline",
-    "factoring": "factoring self-scheduling, promoted baseline",
-    "trapezoid": "trapezoid self-scheduling, promoted baseline",
+    "fsc": "fixed-size chunk self-scheduling (CSS) on the rdlb master",
+    "gss": "guided self-scheduling on the rdlb master",
+    "factoring": "factoring self-scheduling on the rdlb master",
+    "trapezoid": "trapezoid self-scheduling on the rdlb master",
 }
-
-_CHUNKING_STRATEGIES = ("fsc", "gss", "factoring", "trapezoid")
 
 
 def available_strategies() -> tuple[str, ...]:
@@ -176,24 +173,11 @@ def run_strategy(
             faults=faults,
         )
         return _wrap(strategy, plan, n, res)
-    # rdlb and the promoted chunking variants share the robust master;
+    # rdlb and the classic chunkings share the robust master;
     # the classics just disable alive-holder reassignment.
-    if strategy == "rdlb":
-        rc = rdlb or RdlbConfig()
-    else:
-        base = rdlb or RdlbConfig()
-        chunking = {"fsc": "fsc", "gss": "gss", "trapezoid": "trapezoid"}.get(
-            strategy, "factoring"
-        )
-        rc = RdlbConfig(
-            chunking=chunking,
-            chunk=base.chunk,
-            dup_max=1,
-            reassign_after=base.reassign_after,
-            dead_after=base.dead_after,
-            tick=base.tick,
-            hard_stall=base.hard_stall,
-        )
+    rc = rdlb or RdlbConfig()
+    if strategy != "rdlb":
+        rc = replace(rc, chunking=strategy, dup_max=1)
     res = run_rdlb(
         plan,
         run_cfg,

@@ -12,11 +12,13 @@ Protocol (see :class:`~repro.strategies.protocol.StealTags`): STEAL is
 answered by WORK (steal-half) or DENY; a thief whose victim stays silent
 past ``steal_timeout`` sends ABORT and moves on, but still accepts a
 late WORK so no units are lost in flight.  A passive coordinator counts
-cumulative ``done`` from periodic reports (which double as heartbeats),
-declares silent workers dead after ``dead_after``, and terminates when
-every unit is accounted for — or, after a death, when all live workers
-have been idle for ``stall_grace`` (the dead worker's units are then
-reported as lost, never hung).
+cumulative ``done`` from periodic reports, learns of crashed workers
+from ``ctx.cluster.dead_pids`` (the simulator's form of a host-failure
+notice, the accurate failure detector the protocol model assumes), and
+terminates when every unit is accounted for — or, after a death, when
+all live workers have been idle for ``stall_grace`` (the dead worker's
+units are then reported as lost, never hung).  A worker stuck in a long
+unit is never mistaken for a dead one.
 
 Supports PARALLEL_MAP plans: the bag-of-units custody model has no
 meaning for dependence-carrying shapes.
@@ -35,7 +37,7 @@ from ..errors import ConfigError
 from ..faults import FaultInjector, FaultPlan
 from ..obs import Recorder
 from ..runtime.partition import proportional_counts
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
+from ..sim import Cluster, Compute, LoadGenerator, Poll, Send, Sleep
 from ..sim.rusage import RusageReport
 from .protocol import StealTags
 
@@ -52,8 +54,7 @@ class StealingConfig:
     """Control-plane parameters of the work-stealing plane.
 
     Attributes:
-        report_period: worker progress-report cadence (also the
-            heartbeat the coordinator's failure detector watches).
+        report_period: worker progress-report cadence.
         idle_tick: idle worker poll-loop sleep.
         tick: coordinator poll-loop sleep.
         steal_fraction: fraction of the victim's pending units a
@@ -63,8 +64,6 @@ class StealingConfig:
         deny_backoff: how long a denied thief avoids the same victim.
         suspect_backoff: how long a timed-out thief avoids the victim
             (it is probably dead; much longer than deny_backoff).
-        dead_after: worker silence before the coordinator declares it
-            dead (must comfortably exceed report_period).
         stall_grace: after a death, how long the system must be globally
             idle (no progress, all live workers empty) before the dead
             worker's units are declared lost and the run terminated.
@@ -80,7 +79,6 @@ class StealingConfig:
     steal_timeout: float = 0.5
     deny_backoff: float = 0.2
     suspect_backoff: float = 2.0
-    dead_after: float = 4.0
     stall_grace: float = 2.0
     hard_stall: float = 60.0
 
@@ -95,11 +93,6 @@ class StealingConfig:
             raise ConfigError("steal_timeout must be positive")
         if self.deny_backoff <= 0 or self.suspect_backoff <= 0:
             raise ConfigError("backoffs must be positive")
-        if self.dead_after <= 2 * self.report_period:
-            raise ConfigError(
-                "dead_after must exceed two report periods, got "
-                f"{self.dead_after} vs period {self.report_period}"
-            )
         if self.stall_grace <= 0 or self.hard_stall <= self.stall_grace:
             raise ConfigError("need 0 < stall_grace < hard_stall")
 
@@ -326,9 +319,19 @@ def _coord_task(
     now = ctx.now
     done_of = {pid: 0 for pid in range(n_workers)}
     rem_of = {pid: 0 for pid in range(n_workers)}
-    last_heard = {pid: now for pid in range(n_workers)}
     dead: set[int] = set()
     last_progress = now
+
+    def _notice_crashes(now: float) -> None:
+        for pid in sorted(ctx.cluster.dead_pids - dead):
+            dead.add(pid)
+            stats["deaths"] = stats.get("deaths", 0) + 1
+            if obs.enabled:
+                obs.metrics.counter("steal.deaths").inc()
+                obs.emit_counter(
+                    "steal", "death", now, 1.0, pid=ctx.pid,
+                    meta={"dead": pid, "last_remaining": rem_of[pid]},
+                )
 
     while True:
         progressed = False
@@ -341,23 +344,13 @@ def _coord_task(
                 progressed = True
             done_of[msg.src] = int(p["done"])
             rem_of[msg.src] = int(p["remaining"])
-            last_heard[msg.src] = ctx.now
         now = ctx.now
         if progressed:
             last_progress = now
         done_total = sum(done_of.values())
         if done_total >= total_units:
             break
-        for pid in range(n_workers):
-            if pid not in dead and now - last_heard[pid] > sc.dead_after:
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("steal.deaths").inc()
-                    obs.emit_counter(
-                        "steal", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid, "last_remaining": rem_of[pid]},
-                    )
+        _notice_crashes(now)
         live = [pid for pid in range(n_workers) if pid not in dead]
         if not live:
             break
@@ -380,32 +373,17 @@ def _coord_task(
         obs.metrics.counter("steal.lost_units").inc(lost)
     for pid in range(n_workers):
         yield Send(pid, Tags.TERM, None, 16)
-    # Gather with the silence detector still running: a worker that
-    # crashed shortly before TERM may not have been marked dead yet, and
-    # a blocking Recv on its RESULT would hang the coordinator forever.
+    # Gather until every worker has either sent its RESULT or crashed: a
+    # worker that crashes after TERM never sends one.
     results = {}
     gather_start = ctx.now
-    while len(results) < n_workers - len(dead):
+    while len(results.keys() | dead) < n_workers:
         msg = yield Poll(tag=Tags.RESULT)
         now = ctx.now
         if msg is not None:
             results[msg.src] = msg.payload
-            last_heard[msg.src] = now
             continue
-        for pid in range(n_workers):
-            if (
-                pid not in dead
-                and pid not in results
-                and now - last_heard[pid] > sc.dead_after
-            ):
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("steal.deaths").inc()
-                    obs.emit_counter(
-                        "steal", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid, "last_remaining": rem_of[pid]},
-                    )
+        _notice_crashes(now)
         if now - gather_start > sc.hard_stall:
             break  # unconditional: a stealing run must never hang
         yield Sleep(sc.tick)

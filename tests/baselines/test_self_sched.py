@@ -1,19 +1,24 @@
-"""Self-scheduling baseline tests."""
+"""Self-scheduling baseline tests.
+
+The Section 6 self-scheduling family (chunk, guided, factoring,
+trapezoid) runs through the strategy layer's robust self-scheduling
+plane; its chunk policies live in :mod:`repro.strategies.rdlb`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.apps import build_lu, build_matmul
-from repro.baselines.self_sched import (
+from repro.config import ClusterSpec, ProcessorSpec, RunConfig
+from repro.errors import ConfigError, ProtocolError
+from repro.sim import ConstantLoad
+from repro.strategies import RdlbConfig, run_strategy
+from repro.strategies.rdlb import (
     ChunkPolicy,
     FactoringPolicy,
     GuidedPolicy,
     TrapezoidPolicy,
-    run_self_scheduling,
 )
-from repro.config import ClusterSpec, ProcessorSpec, RunConfig
-from repro.errors import ProtocolError
-from repro.sim import ConstantLoad
 
 
 class TestPolicies:
@@ -63,32 +68,32 @@ class TestRuns:
         )
 
     @pytest.mark.parametrize(
-        "policy_factory",
+        "run",
         [
-            lambda: ChunkPolicy(4),
-            lambda: GuidedPolicy(),
-            lambda: FactoringPolicy(),
-            lambda: TrapezoidPolicy(50, 3),
+            lambda plan, cfg: run_strategy(
+                "fsc", plan, cfg, rdlb=RdlbConfig(chunk=4), seed=2
+            ),
+            lambda plan, cfg: run_strategy("gss", plan, cfg, seed=2),
+            lambda plan, cfg: run_strategy("factoring", plan, cfg, seed=2),
+            lambda plan, cfg: run_strategy("trapezoid", plan, cfg, seed=2),
         ],
     )
-    def test_numerics_correct(self, policy_factory):
+    def test_numerics_correct(self, run):
         plan = build_matmul(n=50)
-        res = run_self_scheduling(
-            plan, self._cfg(numerics=True), policy_factory(), seed=2
-        )
+        res = run(plan, self._cfg(numerics=True))
         g = plan.kernels.make_global(np.random.default_rng(2))
         np.testing.assert_allclose(res.result, g["A"] @ g["B"], atol=1e-9)
 
     def test_all_chunks_served(self):
         plan = build_matmul(n=64)
-        res = run_self_scheduling(plan, self._cfg(), ChunkPolicy(8), seed=1)
-        assert res.chunks_served == 8
+        res = run_strategy("fsc", plan, self._cfg(), seed=1)
+        assert res.raw.chunks_served == 8
 
     def test_load_balances_naturally(self):
         plan = build_matmul(n=120)
         cfg = self._cfg()
         loaded = {0: ConstantLoad(k=3)}
-        res = run_self_scheduling(plan, cfg, FactoringPolicy(), loads=loaded)
+        res = run_strategy("factoring", plan, cfg, loaded)
         # Demand-driven chunking absorbs the slow node: time well under
         # the static worst case (slave 0 at 1/4 speed with 1/3 of work).
         static_worst = plan.total_ops() / 3 * 4 / 2e5
@@ -96,12 +101,12 @@ class TestRuns:
 
     def test_metrics_fields(self):
         plan = build_matmul(n=30)
-        res = run_self_scheduling(plan, self._cfg(), GuidedPolicy())
-        assert res.policy == "guided"
+        res = run_strategy("gss", plan, self._cfg())
+        assert res.strategy == "gss" and res.raw.chunking == "gss"
         assert res.speedup > 0
-        assert 0 < res.efficiency <= 1.1
+        assert 0 < res.raw.efficiency <= 1.1
         assert res.message_count > 0
 
     def test_non_parallel_map_rejected(self):
-        with pytest.raises(ProtocolError):
-            run_self_scheduling(build_lu(n=20), self._cfg(), GuidedPolicy())
+        with pytest.raises(ConfigError):
+            run_strategy("gss", build_lu(n=20), self._cfg())

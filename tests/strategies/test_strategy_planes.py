@@ -3,7 +3,8 @@
 Every PARALLEL_MAP strategy must produce the exact sequential result,
 terminate under a crashed victim (work stealing's steal/deny/abort
 protocol must never hang), account custody honestly (``lost_units``),
-and reject plan shapes it cannot schedule.
+never declare a slow but live worker dead, and reject plan shapes and
+fault kinds it cannot handle.
 """
 
 import dataclasses
@@ -11,17 +12,25 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps import REGISTRY
+from repro.apps import REGISTRY, build_matmul
 from repro.config import ClusterSpec, RunConfig
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, SlaveCrash
-from repro.strategies import run_strategy
+from repro.faults import (
+    FaultPlan,
+    LinkPartition,
+    MessageFault,
+    SlaveCrash,
+    SlaveStall,
+)
+from repro.sim import ConstantLoad
+from repro.strategies import RdlbConfig, run_rdlb, run_strategy
+from repro.strategies import registry
 from repro.strategies.robustness import (
     cell_perturbation,
     oracle_makespan,
     perturbation_loads,
 )
-from repro.scale.workload import synthetic_bag
+from repro.scale.workload import irregular_bag, synthetic_bag
 
 SEED = 7
 SLAVES = 4
@@ -93,6 +102,93 @@ class TestCrashTermination:
         assert out.dead_pids == (1,)
         assert out.lost_units == 0
         assert _close(out.result, _truth(plan))
+
+
+class TestNoFalseDeaths:
+    """Workers whose chunks or units run long are slow, not dead."""
+
+    #: Chunk counts of the four chunkings at MM n=500, P=4.
+    SECTION6_CHUNKS = {"fsc": 63, "gss": 20, "factoring": 28, "trapezoid": 15}
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["dedicated", "loaded"])
+    @pytest.mark.parametrize(
+        "strategy", ["fsc", "gss", "factoring", "trapezoid", "rdlb"]
+    )
+    def test_section6_point_completes(self, strategy, loaded):
+        """Paper Section 6: MM n=500 on 4 slaves, optionally with one
+        competing task on slave 0.  Every chunk outlasts seconds of
+        wall-clock silence (GSS's first chunk on the loaded slave takes
+        125 s), and every unit must still complete."""
+        plan = build_matmul(n=500, n_slaves_hint=4)
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=4), execute_numerics=False)
+        loads = {0: ConstantLoad(k=1)} if loaded else {}
+        out = run_strategy(strategy, plan, cfg, loads)
+        assert out.raw.completed_units == 500
+        assert out.lost_units == 0 and out.deaths == 0
+        if strategy in self.SECTION6_CHUNKS:
+            assert out.raw.chunks_served == self.SECTION6_CHUNKS[strategy]
+
+    @pytest.mark.parametrize("strategy", ["stealing", "rdlb"])
+    def test_fault_free_heavy_tail(self, strategy):
+        """The perturbation-robustness lognormal x flat cell (P=16, 256
+        units): hot units outlast seconds, yet nothing dies or is lost."""
+        bag = irregular_bag(
+            256, 2.0e5, tail="lognormal", sigma=1.4, seed=0,
+            name="lognormal-256",
+        )
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=16), execute_numerics=False)
+        out = run_strategy(strategy, bag, cfg, seed=0)
+        assert out.deaths == 0 and out.lost_units == 0
+
+    @pytest.mark.parametrize("strategy", ["gss", "rdlb"])
+    def test_long_stall_is_waited_out(self, strategy):
+        """A worker frozen for 10 s mid-chunk resumes and is not dead:
+        its chunk is either returned late or finished by a reissue."""
+        plan = _plan("adaptive")
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
+        base = run_strategy(strategy, plan, cfg, seed=SEED)
+        faults = FaultPlan(
+            name="long-stall",
+            stalls=(SlaveStall(pid=1, duration=10.0, at=0.25 * base.elapsed),),
+        )
+        out = run_strategy(strategy, plan, cfg, seed=SEED, faults=faults)
+        assert out.deaths == 0 and out.lost_units == 0
+        assert out.elapsed > 10.0
+        assert _close(out.result, _truth(plan))
+
+
+class TestFaultKindGuards:
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultPlan(name="drops", message_faults=(MessageFault("drop", 0.1),)),
+            FaultPlan(
+                name="cut", partitions=(LinkPartition(pid=0, t_start=0.0, t_end=1.0),)
+            ),
+        ],
+        ids=["message-faults", "partitions"],
+    )
+    def test_rdlb_rejects_unsupported_fault_kinds(self, faults):
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
+        with pytest.raises(ConfigError, match="crashes and stalls"):
+            run_rdlb(_plan(), cfg, faults=faults)
+
+
+class TestRegistry:
+    def test_chunking_strategies_keep_the_callers_config(self, monkeypatch):
+        """The classic chunkings override chunking and dup_max only."""
+        seen = []
+
+        def fake_run_rdlb(plan, run_cfg, loads, *, rdlb, **kw):
+            seen.append(rdlb)
+
+        monkeypatch.setattr(registry, "run_rdlb", fake_run_rdlb)
+        monkeypatch.setattr(registry, "_wrap", lambda *args: None)
+        base = RdlbConfig(
+            chunk=3, dup_max=3, reassign_after=1.5, retry_wait=0.05, tick=0.01
+        )
+        run_strategy("gss", _plan(), RunConfig(), rdlb=base)
+        assert seen == [dataclasses.replace(base, chunking="gss", dup_max=1)]
 
 
 class TestPlanShapeGuards:
