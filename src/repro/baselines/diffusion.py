@@ -23,18 +23,18 @@ literature assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..compiler.plan import ExecutionPlan, LoopShape
+from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig, TopologySpec
-from ..errors import ConfigError
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
+from ..faults import FaultPlan
+from ..obs import Recorder
+from ..sim import LoadGenerator, Poll, Recv, Send, Sleep
 from ..sim.network import build_topology
-from ..sim.rusage import RusageReport
-from ..runtime.partition import proportional_counts
+from ..strategies.bagplane import BagRun, PlaneResult, unit_work
 
 __all__ = ["DiffusionResult", "run_diffusion"]
 
@@ -45,27 +45,19 @@ _TERM = "diff.term"
 _RESULT = "diff.result"
 
 
-@dataclass
-class DiffusionResult:
-    name: str
-    n_slaves: int
-    elapsed: float
-    sequential_time: float
-    rusage: RusageReport
-    message_count: int
-    bytes_sent: int
+#: Units a slave computes between two neighbour exchanges.
+EXCHANGE_EVERY = 2
+#: Smallest half-difference of pending units worth shifting to a neighbour.
+THRESHOLD = 2
+
+
+@dataclass(kw_only=True)
+class DiffusionResult(PlaneResult):
+    """Outcome and metrics of one diffusion run."""
+
     moves: int
     units_moved: int
-    result: Any = None
-    topology: str = "chain"
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return self.rusage.efficiency(self.sequential_time, list(range(self.n_slaves)))
+    topology: str
 
 
 def _diff_slave(
@@ -75,8 +67,6 @@ def _diff_slave(
     init_units: tuple[int, ...],
     local,
     neighbors: tuple[int, ...],
-    exchange_every: int,
-    threshold: int,
     stats: dict,
 ):
     kernels = plan.kernels
@@ -124,7 +114,7 @@ def _diff_slave(
             if their is None:
                 continue
             excess = (len(pending) - their) // 2
-            if excess >= threshold and excess <= len(pending):
+            if excess >= THRESHOLD and excess <= len(pending):
                 # Shift contiguous index ranges toward the neighbour:
                 # higher-numbered neighbours take the tail, lower ones
                 # the head (preserves locality on chains and rings).
@@ -150,15 +140,11 @@ def _diff_slave(
                 yield Sleep(0.02)
             continue
         u = pending.pop(0)
-        arr = np.array([u])
-        yield Compute(
-            plan.unit_cost(0, u),
-            fn=(lambda: kernels.run_units(local, 0, arr)) if exec_num else None,
-        )
+        yield unit_work(plan, (u,), local, exec_num)
         done_units.append(u)
         unreported += 1
         counter += 1
-        if counter % exchange_every == 0:
+        if counter % EXCHANGE_EVERY == 0:
             yield from exchange()
 
     if unreported:
@@ -178,97 +164,65 @@ def _diff_master(ctx, n_slaves: int, total_units: int, sink: dict):
         done += msg.payload
     for pid in range(n_slaves):
         yield Send(pid, _TERM, None, 16)
-    results = {}
+    parts = []
     for _ in range(n_slaves):
         msg = yield Recv(tag=_RESULT)
-        results[msg.src] = msg.payload
-    sink["results"] = results
+        parts.append((msg.payload["units"], msg.payload.get("data")))
+    sink["parts"] = parts
+
+
+def _refuse_faults(faults: FaultPlan) -> str:
+    return "it has no fault hooks; run it without --faults"
 
 
 def run_diffusion(
     plan: ExecutionPlan,
     run_cfg: RunConfig,
     loads: Mapping[int, LoadGenerator] | None = None,
-    exchange_every: int = 2,
-    threshold: int = 2,
     seed: int = 0,
     topology: TopologySpec | None = None,
+    *,
+    recorder: Recorder | None = None,
+    faults: FaultPlan | None = None,
 ) -> DiffusionResult:
     """Run ``plan`` under near-neighbour diffusion balancing.
 
     ``topology`` (or ``run_cfg.cluster.topology``) selects the exchange
     graph and prices messages over the topology's links; with neither,
-    slaves form the legacy chain over a crossbar.
+    slaves form the legacy chain over a crossbar.  The plane has no
+    fault hooks: a non-empty ``faults`` plan is rejected.
     """
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        raise ConfigError(
-            "diffusion baseline supports PARALLEL_MAP plans (independent "
-            f"iterations) only; plan {plan.name!r} has shape "
-            f"{plan.shape.name}. PIPELINE and REDUCTION_FRONT loops need "
-            "the central runtime (repro.runtime.run_application)."
-        )
-    n = run_cfg.cluster.n_slaves
-    topo_spec = topology if topology is not None else run_cfg.cluster.topology
-    cluster_spec = run_cfg.cluster
-    neighbor_map: dict[int, tuple[int, ...]] | None = None
-    topo_name = "chain"
-    if topo_spec is not None:
-        if topo_spec.n_members is None:
-            topo_spec = replace(topo_spec, n_members=n)
-        topo = build_topology(topo_spec, topo_spec.n_members, cluster_spec.network)
-        neighbor_map = {pid: topo.neighbors(pid) for pid in range(n)}
-        cluster_spec = replace(cluster_spec, topology=topo_spec)
-        topo_name = topo_spec.kind
-    cluster = Cluster(cluster_spec, dict(loads or {}))
-    exec_num = run_cfg.execute_numerics
-    rng = np.random.default_rng(seed)
-    global_state = plan.kernels.make_global(rng) if exec_num else None
-    lo, hi = plan.unit_space()
-    counts = proportional_counts(hi - lo, [1.0] * n, minimum=1)
-    stats: dict[str, int] = {}
-    sink: dict[str, Any] = {}
-    start = lo
-    for pid in range(n):
-        units = tuple(range(start, start + counts[pid]))
-        start += counts[pid]
-        local = (
-            plan.kernels.make_local(global_state, np.asarray(units))
-            if exec_num
-            else None
-        )
-        if neighbor_map is not None:
-            neighbors = neighbor_map[pid]
-        else:  # legacy chain
-            neighbors = tuple(
-                nb for nb in (pid - 1, pid + 1) if 0 <= nb < n
-            )
-        cluster.spawn(
-            pid, _diff_slave, plan, exec_num, units, local, neighbors,
-            exchange_every, threshold, stats,
-        )
-    cluster.spawn(run_cfg.cluster.master_pid, _diff_master, n, hi - lo, sink)
-    cluster.run()
-    elapsed = max(
-        cluster.task_finish_time(p) for p in range(run_cfg.cluster.n_processors)
+    bag = BagRun(
+        "the diffusion baseline",
+        plan,
+        run_cfg,
+        loads,
+        seed=seed,
+        recorder=recorder,
+        faults=faults,
+        refuse=_refuse_faults,
+        topology=topology,
     )
-    result = None
-    if exec_num and sink.get("results"):
-        merged = {
-            pid: (np.asarray(res["units"]), res.get("data"))
-            for pid, res in sink["results"].items()
-            if res.get("data") is not None and len(res["units"])
+    n = bag.n
+    topo_spec = bag.spec.topology
+    if topo_spec is not None:
+        topo = build_topology(topo_spec, topo_spec.n_members, bag.spec.network)
+        neighbor_map = {pid: topo.neighbors(pid) for pid in range(n)}
+    else:  # legacy chain
+        neighbor_map = {
+            pid: tuple(nb for nb in (pid - 1, pid + 1) if 0 <= nb < n)
+            for pid in range(n)
         }
-        result = plan.kernels.merge_results(global_state, merged)
-    return DiffusionResult(
-        name=plan.name,
-        n_slaves=n,
-        elapsed=elapsed,
-        sequential_time=plan.total_ops() / run_cfg.cluster.processor.speed,
-        rusage=cluster.rusage(elapsed),
-        message_count=cluster.message_count,
-        bytes_sent=cluster.bytes_sent,
-        moves=stats.get("moves", 0),
-        units_moved=stats.get("moved_units", 0),
-        result=result,
-        topology=topo_name,
+    for pid, units, local in bag.split():
+        bag.cluster.spawn(
+            pid, _diff_slave, plan, bag.exec_num, units, local,
+            neighbor_map[pid], bag.stats,
+        )
+    bag.cluster.spawn(run_cfg.cluster.master_pid, _diff_master, n, bag.total, bag.sink)
+    bag.run()
+    return bag.result(
+        DiffusionResult,
+        moves=bag.stats.get("moves", 0),
+        units_moved=bag.stats.get("moved_units", 0),
+        topology=topo_spec.kind if topo_spec is not None else "chain",
     )

@@ -374,17 +374,7 @@ class CheckpointConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Top-level knobs for one simulated application run.
-
-    ``strategy`` selects the DLB control plane for PARALLEL_MAP
-    workloads: ``"centralized"`` is the paper's runtime
-    (:func:`repro.runtime.run_application`); the other names are the
-    :mod:`repro.strategies` registry (``rate``, ``hier``, ``diffusion``,
-    ``stealing``, ``rdlb``, ``fsc``, ``gss``, ``factoring``,
-    ``trapezoid``).  The name is validated where it is consumed
-    (:func:`repro.strategies.run_strategy`), not here, so the config
-    module stays dependency-free.
-    """
+    """Top-level knobs for one simulated application run."""
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     balancer: BalancerConfig = field(default_factory=BalancerConfig)
@@ -395,8 +385,3 @@ class RunConfig:
     dlb_enabled: bool = True
     trace_enabled: bool = False
     max_virtual_time: float = 1.0e7
-    strategy: str = "centralized"
-
-    def __post_init__(self) -> None:
-        if not self.strategy or not isinstance(self.strategy, str):
-            raise ConfigError(f"strategy must be a non-empty name, got {self.strategy!r}")

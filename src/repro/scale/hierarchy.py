@@ -18,9 +18,10 @@ internal node (and the root) watches its children; an internal child
 silent for ``dead_after`` seconds is declared dead and its orphans are
 adopted by the detecting node (``sc.reparent``), whose cumulative
 counters reconstruct the shard's progress from the orphans' next
-reports.  Leaf silence is *not* acted upon — leaf-crash recovery is the
-central runtime's job (see ``repro.runtime.master``); this mode targets
-control-plane failures.
+reports.  Leaf silence is *not* acted upon: a fault plan that crashes a
+leaf (or the root) is rejected at entry (:func:`hier_can_recover`), and
+leaf-crash recovery is the central runtime's job (see
+``repro.runtime.master``); this mode targets control-plane failures.
 
 Supports PARALLEL_MAP plans (independent iterations): the bag-of-units
 custody model above has no meaning for dependence-carrying shapes.
@@ -28,20 +29,20 @@ custody model above has no meaning for dependence-carrying shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..compiler.plan import ExecutionPlan, LoopShape
+from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig, TopologySpec
-from ..errors import ConfigError, SimulationError
-from ..faults import FaultInjector, FaultPlan
+from ..errors import ConfigError
+from ..faults import FaultPlan
 from ..obs import Recorder
 from ..runtime.filtering import TrendFilter
 from ..runtime.partition import proportional_counts
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
-from ..sim.rusage import RusageReport
+from ..sim import LoadGenerator, Poll, Recv, Send, Sleep
+from ..strategies.bagplane import BagRun, PlaneResult, unit_work
 from .protocol import ScaleTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -226,41 +227,22 @@ def hier_can_recover(tree: Tree, faults: FaultPlan | None) -> bool:
     )
 
 
-@dataclass
-class HierarchyResult:
-    """Outcome and metrics of one hierarchical run."""
+@dataclass(kw_only=True)
+class HierarchyResult(PlaneResult):
+    """Outcome and metrics of one hierarchical run (``n_slaves`` leaves)."""
 
-    name: str
-    n_leaves: int
     n_internal: int
     levels: int
     fanout: int | None
-    elapsed: float
-    sequential_time: float
-    rusage: RusageReport
-    message_count: int
-    bytes_sent: int
     moves: int
     units_moved: int
     takes: int
     reports: int
-    deaths: int
     reparents: int
-    result: Any = None
-    dead_pids: tuple[int, ...] = ()
-    recorder: Recorder | None = None
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return self.rusage.efficiency(self.sequential_time, list(range(self.n_leaves)))
 
     def summary(self) -> str:
         return (
-            f"{self.name}: P={self.n_leaves} (+{self.n_internal} sub-masters, "
+            f"{self.name}: P={self.n_slaves} (+{self.n_internal} sub-masters, "
             f"{self.levels} level(s)) elapsed={self.elapsed:.2f}s "
             f"speedup={self.speedup:.2f} moves={self.moves} "
             f"({self.units_moved} units) takes={self.takes} "
@@ -339,11 +321,7 @@ def _leaf_task(
             break
         if pending:
             u = pending.pop(0)
-            arr = np.array([u])
-            yield Compute(
-                plan.unit_cost(0, u),
-                fn=(lambda: kernels.run_units(local, 0, arr)) if exec_num else None,
-            )
+            yield unit_work(plan, (u,), local, exec_num)
             done_units.append(u)
             done += 1
             units_since += 1
@@ -577,11 +555,11 @@ def _node_task(
                 break
 
     if parent_pid is None:
-        results = {}
+        parts = []
         for _ in range(n_leaves):
             msg = yield Recv(tag=Tags.RESULT)
-            results[msg.src] = msg.payload
-        sink["results"] = results
+            parts.append((msg.payload["units"], msg.payload.get("data")))
+        sink["parts"] = parts
 
 
 def run_hierarchical(
@@ -603,63 +581,47 @@ def run_hierarchical(
     the flat/centralized shape.  ``topology`` (or
     ``run_cfg.cluster.topology``) prices messages over an explicit
     interconnect, with each sub-master attached to its shard's first
-    leaf node and the root to leaf 0.
+    leaf node and the root to leaf 0.  Fault plans that crash a leaf or
+    the root are rejected (:func:`hier_can_recover`).
     """
     run_cfg = run_cfg or RunConfig()
     hc = hier or HierarchyConfig()
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        raise ConfigError(
-            "hierarchical control plane supports PARALLEL_MAP plans only; "
-            f"{plan.name!r} is {plan.shape.name}. Use the central runtime "
-            "(repro.runtime.run_application) for PIPELINE / REDUCTION_FRONT."
-        )
-    n_leaves = run_cfg.cluster.n_slaves
-    tree = build_tree(n_leaves, fanout)
-    loads = dict(loads or {})
-    for pid in loads:
-        if not 0 <= pid < n_leaves:
-            raise ConfigError(f"competing load assigned to non-leaf processor {pid}")
+    tree = build_tree(run_cfg.cluster.n_slaves, fanout)
 
-    topo = topology if topology is not None else run_cfg.cluster.topology
-    if topo is not None and topo.n_members is None:
-        topo = replace(topo, n_members=n_leaves)
-    spec = replace(run_cfg.cluster, n_slaves=tree.root, topology=topo)
-    attach = None
-    if topo is not None:
-        attach = {
-            node: tree.first_leaf(node) for node in (*tree.internal, tree.root)
-        }
-    injector = None
-    if faults is not None and not faults.empty:
-        injector = FaultInjector(faults, master_pid=tree.root)
-    cluster = Cluster(spec, loads, recorder, injector, fabric_attach=attach)
+    def refuse(faults: FaultPlan) -> str | None:
+        if hier_can_recover(tree, faults):
+            return None
+        return (
+            "it recovers from sub-master crashes only (a crashed leaf "
+            "loses its units, a crashed root the gather)"
+        )
+
+    bag = BagRun(
+        "the hierarchical control plane",
+        plan,
+        run_cfg,
+        loads,
+        seed=seed,
+        recorder=recorder,
+        faults=faults,
+        refuse=refuse,
+        n_sub=tree.n_internal,
+        attach={node: tree.first_leaf(node) for node in (*tree.internal, tree.root)},
+        topology=topology,
+    )
     if recorder is not None and recorder.enabled:
         recorder.metrics.gauge("scale.levels").set(float(tree.levels))
         recorder.metrics.gauge("scale.n_internal").set(float(tree.n_internal))
 
-    exec_num = run_cfg.execute_numerics
-    rng = np.random.default_rng(seed)
-    global_state = plan.kernels.make_global(rng) if exec_num else None
-    lo, hi = plan.unit_space()
-    counts = proportional_counts(hi - lo, [1.0] * n_leaves, minimum=1)
-    stats: dict[str, int] = {}
-    sink: dict[str, Any] = {}
+    stats = bag.stats
     leaf_units: dict[int, tuple[int, ...]] = {}
-    start = lo
-    for pid in range(n_leaves):
-        units = tuple(range(start, start + counts[pid]))
-        start += counts[pid]
+    for pid, units, local in bag.split():
         leaf_units[pid] = units
-        local = (
-            plan.kernels.make_local(global_state, np.asarray(units))
-            if exec_num
-            else None
-        )
-        cluster.spawn(
+        bag.cluster.spawn(
             pid,
             _leaf_task,
             plan,
-            exec_num,
+            bag.exec_num,
             units,
             local,
             tree.parent[pid],
@@ -674,7 +636,7 @@ def run_hierarchical(
     for node in (*tree.internal, tree.root):
         kids = tree.children[node]
         init_remaining = {kid: _shard_units(kid) for kid in kids}
-        cluster.spawn(
+        bag.cluster.spawn(
             node,
             _node_task,
             tree,
@@ -684,51 +646,19 @@ def run_hierarchical(
             tree.level_of[node],
             hc,
             stats,
-            hi - lo,
-            sink,
+            bag.total,
+            bag.sink,
         )
 
-    cluster.run(until=run_cfg.max_virtual_time)
-    if "results" not in sink:
-        if cluster.engine.pending():
-            raise SimulationError(
-                f"hierarchical run exceeded max_virtual_time="
-                f"{run_cfg.max_virtual_time}"
-            )
-        cluster.run()  # surfaces DeadlockError diagnostics
-        raise SimulationError("root never gathered results")
-
-    elapsed = max(
-        cluster.task_finish_time(pid)
-        for pid in range(spec.n_processors)
-        if pid not in cluster.dead_pids
-    )
-    result = None
-    if exec_num and sink.get("results"):
-        merged = {
-            pid: (np.asarray(res["units"]), res.get("data"))
-            for pid, res in sink["results"].items()
-            if res.get("data") is not None and len(res["units"])
-        }
-        result = plan.kernels.merge_results(global_state, merged)
-    return HierarchyResult(
-        name=plan.name,
-        n_leaves=n_leaves,
+    bag.run()
+    return bag.result(
+        HierarchyResult,
         n_internal=tree.n_internal,
         levels=tree.levels,
         fanout=fanout,
-        elapsed=elapsed,
-        sequential_time=plan.total_ops() / run_cfg.cluster.processor.speed,
-        rusage=cluster.rusage(elapsed),
-        message_count=cluster.message_count,
-        bytes_sent=cluster.bytes_sent,
         moves=stats.get("moves", 0),
         units_moved=stats.get("moved_units", 0),
         takes=stats.get("takes", 0),
         reports=stats.get("reports", 0),
-        deaths=stats.get("deaths", 0),
         reparents=stats.get("reparents", 0),
-        result=result,
-        dead_pids=tuple(sorted(cluster.dead_pids)),
-        recorder=recorder,
     )

@@ -18,13 +18,15 @@ alternatives:
   self-scheduling chunkings (paper Section 6), served by the ``rdlb``
   master with reissue only on a holder's crash.
 
-Selection is wired through ``RunConfig.strategy`` and
-``repro run --strategy``.  The perturbation-robustness bench suite
+The four planes share one launcher (:mod:`repro.strategies.bagplane`):
+entry validation, run plumbing and the result base class.  Selection is
+by name through :func:`run_strategy` and ``repro run --strategy``.  The perturbation-robustness bench suite
 (:mod:`repro.strategies.robustness`) races the strategies over irregular
 workloads and recorded load traces and reports degradation versus an
 idealized oracle makespan.
 """
 
+from .bagplane import PlaneResult
 from .rdlb import RdlbConfig, RdlbResult, run_rdlb
 from .registry import (
     STRATEGIES,
@@ -37,6 +39,7 @@ from .stealing import StealingConfig, StealingResult, run_stealing
 
 __all__ = [
     "STRATEGIES",
+    "PlaneResult",
     "RdlbConfig",
     "RdlbResult",
     "RobustTags",

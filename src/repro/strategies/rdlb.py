@@ -45,13 +45,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..compiler.plan import ExecutionPlan, LoopShape
+from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig
 from ..errors import ConfigError, ProtocolError
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..obs import Recorder
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
-from ..sim.rusage import RusageReport
+from ..sim import LoadGenerator, Poll, Recv, Send, Sleep
+from .bagplane import BagRun, PlaneResult, unit_work
 from .protocol import RobustTags
 
 # Module-level alias named `Tags` for the protocol lint's AST resolver.
@@ -112,35 +112,14 @@ class RdlbConfig:
             raise ConfigError("reassign_after, retry_wait and tick must be positive")
 
 
-@dataclass
-class RdlbResult:
+@dataclass(kw_only=True)
+class RdlbResult(PlaneResult):
     """Outcome and metrics of one robust self-scheduling run."""
 
-    name: str
     chunking: str
-    n_slaves: int
-    elapsed: float
-    sequential_time: float
-    rusage: RusageReport
-    message_count: int
-    bytes_sent: int
     chunks_served: int
     reassigns: int
     duplicate_results: int
-    completed_units: int
-    lost_units: int
-    deaths: int
-    result: Any = None
-    dead_pids: tuple[int, ...] = ()
-    recorder: Recorder | None = None
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return self.rusage.efficiency(self.sequential_time, list(range(self.n_slaves)))
 
     def summary(self) -> str:
         lost = f" lost={self.lost_units}" if self.lost_units else ""
@@ -239,18 +218,8 @@ def _rdlb_worker(ctx, plan: ExecutionPlan, rc: RdlbConfig, exec_num: bool):
                 yield Sleep(rc.retry_wait)
                 continue
             return
-        arr = np.asarray(units)
         local = msg.payload.get("data")
-        # All reps of the chunk run back to back: PARALLEL_MAP units are
-        # independent, so per-chunk rep collapsing is exact
-        # (dynamic-reps plans are rejected at entry).
-        ops = sum(plan.units_cost(rep, units) for rep in range(plan.reps))
-
-        def _do(local=local, arr=arr):
-            for rep in range(plan.reps):
-                kernels.run_units(local, rep, arr)
-
-        yield Compute(ops, fn=_do if exec_num and local is not None else None)
+        yield unit_work(plan, units, local, exec_num)
         report = {"chunk": msg.payload["chunk"], "units": units}
         if exec_num and local is not None:
             report["data"] = kernels.local_result(local)
@@ -276,7 +245,7 @@ def _rdlb_master(
     next_chunk = 0
     done_units = 0
     chunks_served = 0
-    results: dict[int, list] = {p: [] for p in range(n_workers)}
+    parts: list[tuple[tuple[int, ...], Any]] = []
     dead: set[int] = set()
     stopped: set[int] = set()
 
@@ -365,7 +334,7 @@ def _rdlb_master(
             ch = outstanding.pop(cid, None)
             if ch is not None:
                 done_units += len(ch.units)
-                results[pid].append((p["units"], p.get("data")))
+                parts.append((p["units"], p.get("data")))
             else:
                 # The other assignee finished first: duplicate result.
                 stats["duplicates"] = stats.get("duplicates", 0) + 1
@@ -382,13 +351,20 @@ def _rdlb_master(
             yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
 
     # Units are lost only when every worker crashed.
-    lost = sum(len(ch.units) for ch in outstanding.values()) + len(queue)
-    stats["lost_units"] = lost
+    lost = total - done_units
     if lost and obs.enabled:
         obs.metrics.counter("robust.lost_units").inc(lost)
     stats["chunks"] = chunks_served
-    stats["done_units"] = done_units
-    sink["results"] = results
+    sink["parts"] = parts
+
+
+def _refuse_faults(faults: FaultPlan) -> str | None:
+    if faults.message_faults or faults.partitions:
+        return (
+            "it accepts worker crashes and stalls only, not message faults "
+            "or partitions"
+        )
+    return None
 
 
 def run_rdlb(
@@ -410,98 +386,34 @@ def run_rdlb(
     """
     run_cfg = run_cfg or RunConfig()
     rc = rdlb or RdlbConfig()
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        raise ConfigError(
-            "robust self-scheduling supports PARALLEL_MAP plans "
-            f"(independent iterations) only; plan {plan.name!r} has shape "
-            f"{plan.shape.name}. PIPELINE and REDUCTION_FRONT loops need "
-            "the central runtime (repro.runtime.run_application)."
-        )
-    if plan.dynamic_reps:
-        raise ConfigError(
-            "robust self-scheduling cannot run dynamic-reps (WHILE) "
-            f"plans: plan {plan.name!r} decides its repetition count "
-            "from a global convergence test, which needs the central "
-            "runtime's sweep barrier."
-        )
-    n = run_cfg.cluster.n_slaves
-    loads = dict(loads or {})
-    for pid in loads:
-        if not 0 <= pid < n:
-            raise ConfigError(f"competing load assigned to non-worker pid {pid}")
-    injector = None
-    if faults is not None and not faults.empty:
-        if faults.message_faults or faults.partitions:
-            raise ConfigError(
-                "robust self-scheduling accepts fault plans of worker "
-                f"crashes and stalls only; plan {faults.name or 'custom'!r} "
-                "has message faults or partitions"
-            )
-        faults.validate_for(n)
-        injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
-    cluster = Cluster(run_cfg.cluster, loads, recorder, injector)
-    exec_num = run_cfg.execute_numerics
-    rng = np.random.default_rng(seed)
-    global_state = plan.kernels.make_global(rng) if exec_num else None
-    stats: dict[str, int] = {}
-    sink: dict[str, Any] = {}
-    for pid in range(n):
-        cluster.spawn(pid, _rdlb_worker, plan, rc, exec_num)
-    cluster.spawn(
+    bag = BagRun(
+        "robust self-scheduling",
+        plan,
+        run_cfg,
+        loads,
+        seed=seed,
+        recorder=recorder,
+        faults=faults,
+        refuse=_refuse_faults,
+    )
+    for pid in range(bag.n):
+        bag.cluster.spawn(pid, _rdlb_worker, plan, rc, bag.exec_num)
+    bag.cluster.spawn(
         run_cfg.cluster.master_pid,
         _rdlb_master,
         plan,
         rc,
-        exec_num,
-        global_state,
-        n,
-        stats,
-        sink,
+        bag.exec_num,
+        bag.global_state,
+        bag.n,
+        bag.stats,
+        bag.sink,
     )
-    cluster.run(until=run_cfg.max_virtual_time)
-    if "results" not in sink:
-        from ..errors import SimulationError
-
-        if cluster.engine.pending():
-            raise SimulationError(
-                f"rdlb run exceeded max_virtual_time={run_cfg.max_virtual_time}"
-            )
-        cluster.run()  # surfaces DeadlockError diagnostics
-        raise SimulationError("master never finished the schedule")
-    elapsed = max(
-        cluster.task_finish_time(pid)
-        for pid in range(run_cfg.cluster.n_processors)
-        if pid not in cluster.dead_pids
-    )
-    completed = stats.get("done_units", 0)
-    result = None
-    if exec_num:
-        # One part per accepted chunk: merge_results selects each
-        # part's rows by its unit list, and accepted chunks are
-        # disjoint (duplicates were discarded on receipt), so chunk
-        # granularity composes for every app regardless of payload type.
-        merged: dict[int, Any] = {}
-        for items in sink["results"].values():
-            for units, data in items:
-                if data is not None:
-                    merged[len(merged)] = (np.asarray(units), data)
-        result = plan.kernels.merge_results(global_state, merged) if merged else None
-    return RdlbResult(
-        name=plan.name,
+    bag.run()
+    return bag.result(
+        RdlbResult,
         chunking=rc.chunking,
-        n_slaves=n,
-        elapsed=elapsed,
-        sequential_time=plan.total_ops() / run_cfg.cluster.processor.speed,
-        rusage=cluster.rusage(elapsed),
-        message_count=cluster.message_count,
-        bytes_sent=cluster.bytes_sent,
-        chunks_served=stats.get("chunks", 0),
-        reassigns=stats.get("reassigns", 0),
-        duplicate_results=stats.get("duplicates", 0),
-        completed_units=completed,
-        lost_units=stats.get("lost_units", 0),
-        deaths=stats.get("deaths", 0),
-        result=result,
-        dead_pids=tuple(sorted(cluster.dead_pids)),
-        recorder=recorder,
+        chunks_served=bag.stats.get("chunks", 0),
+        reassigns=bag.stats.get("reassigns", 0),
+        duplicate_results=bag.stats.get("duplicates", 0),
     )

@@ -21,6 +21,7 @@ from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
 from ..sim import LoadGenerator
+from .bagplane import PlaneResult
 from .rdlb import RdlbConfig, run_rdlb
 from .stealing import StealingConfig, run_stealing
 
@@ -64,7 +65,7 @@ def available_strategies() -> tuple[str, ...]:
 class StrategyOutcome:
     """Normalized outcome of one strategy run.
 
-    ``raw`` keeps the plane-specific result object
+    ``raw`` keeps the plane's :class:`~repro.strategies.bagplane.PlaneResult`
     (:class:`~repro.scale.hierarchy.HierarchyResult`,
     :class:`~repro.strategies.stealing.StealingResult`, ...) for callers
     that need plane-specific counters.
@@ -85,7 +86,7 @@ class StrategyOutcome:
 
     @property
     def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
+        return self.raw.speedup
 
     def summary(self) -> str:
         lost = f" lost={self.lost_units}" if self.lost_units else ""
@@ -97,19 +98,19 @@ class StrategyOutcome:
         )
 
 
-def _wrap(strategy: str, plan, n_slaves: int, res: Any) -> StrategyOutcome:
+def _wrap(strategy: str, res: PlaneResult) -> StrategyOutcome:
     return StrategyOutcome(
         strategy=strategy,
-        name=plan.name,
-        n_slaves=n_slaves,
+        name=res.name,
+        n_slaves=res.n_slaves,
         elapsed=res.elapsed,
         sequential_time=res.sequential_time,
         message_count=res.message_count,
         bytes_sent=res.bytes_sent,
-        lost_units=getattr(res, "lost_units", 0),
-        deaths=getattr(res, "deaths", 0),
-        dead_pids=tuple(getattr(res, "dead_pids", ())),
-        result=getattr(res, "result", None),
+        lost_units=res.lost_units,
+        deaths=res.deaths,
+        dead_pids=res.dead_pids,
+        result=res.result,
         raw=res,
     )
 
@@ -128,9 +129,10 @@ def run_strategy(
 ) -> StrategyOutcome:
     """Run ``plan`` under the named strategy and normalize the outcome.
 
-    ``diffusion`` has no fault hooks, so passing a non-empty ``faults``
-    plan with it is a :class:`ConfigError` (its recorder is likewise
-    not wired and is ignored).
+    Each plane checks the fault plan at entry: ``diffusion`` has no
+    fault hooks, ``rate``/``hier`` recover from sub-master crashes only
+    and ``rdlb`` (with the classic chunkings) accepts crashes and stalls;
+    a plan a plane cannot run is a :class:`ConfigError`.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(
@@ -138,53 +140,25 @@ def run_strategy(
             f"choose from {', '.join(available_strategies())}"
         )
     run_cfg = run_cfg or RunConfig()
-    n = run_cfg.cluster.n_slaves
+    common: dict[str, Any] = {"seed": seed, "recorder": recorder, "faults": faults}
     if strategy in ("rate", "hier"):
         from ..scale.hierarchy import run_hierarchical
 
-        res = run_hierarchical(
-            plan,
-            run_cfg,
-            loads,
-            fanout=None if strategy == "rate" else 8,
-            seed=seed,
-            recorder=recorder,
-            faults=faults,
+        fanout = None if strategy == "rate" else 8
+        res: PlaneResult = run_hierarchical(
+            plan, run_cfg, loads, fanout=fanout, **common
         )
-        return _wrap(strategy, plan, n, res)
-    if strategy == "diffusion":
+    elif strategy == "diffusion":
         from ..baselines.diffusion import run_diffusion
 
-        if faults is not None and not faults.empty:
-            raise ConfigError(
-                "the diffusion strategy has no fault hooks; "
-                "run it without --faults"
-            )
-        res = run_diffusion(plan, run_cfg, loads, seed=seed)
-        return _wrap(strategy, plan, n, res)
-    if strategy == "stealing":
-        res = run_stealing(
-            plan,
-            run_cfg,
-            loads,
-            stealing=stealing,
-            seed=seed,
-            recorder=recorder,
-            faults=faults,
-        )
-        return _wrap(strategy, plan, n, res)
-    # rdlb and the classic chunkings share the robust master;
-    # the classics just disable alive-holder reassignment.
-    rc = rdlb or RdlbConfig()
-    if strategy != "rdlb":
-        rc = replace(rc, chunking=strategy, dup_max=1)
-    res = run_rdlb(
-        plan,
-        run_cfg,
-        loads,
-        rdlb=rc,
-        seed=seed,
-        recorder=recorder,
-        faults=faults,
-    )
-    return _wrap(strategy, plan, n, res)
+        res = run_diffusion(plan, run_cfg, loads, **common)
+    elif strategy == "stealing":
+        res = run_stealing(plan, run_cfg, loads, stealing=stealing, **common)
+    else:
+        # rdlb and the classic chunkings share the robust master;
+        # the classics just disable alive-holder reassignment.
+        rc = rdlb or RdlbConfig()
+        if strategy != "rdlb":
+            rc = replace(rc, chunking=strategy, dup_max=1)
+        res = run_rdlb(plan, run_cfg, loads, rdlb=rc, **common)
+    return _wrap(strategy, res)

@@ -31,14 +31,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..compiler.plan import ExecutionPlan, LoopShape
+from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig
 from ..errors import ConfigError
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..obs import Recorder
-from ..runtime.partition import proportional_counts
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Send, Sleep
-from ..sim.rusage import RusageReport
+from ..sim import LoadGenerator, Poll, Send, Sleep
+from .bagplane import BagRun, PlaneResult, unit_work
 from .protocol import StealTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -97,36 +96,15 @@ class StealingConfig:
             raise ConfigError("need 0 < stall_grace < hard_stall")
 
 
-@dataclass
-class StealingResult:
+@dataclass(kw_only=True)
+class StealingResult(PlaneResult):
     """Outcome and metrics of one work-stealing run."""
 
-    name: str
-    n_slaves: int
-    elapsed: float
-    sequential_time: float
-    rusage: RusageReport
-    message_count: int
-    bytes_sent: int
     steals: int
     steal_hits: int
     steal_denies: int
     steal_aborts: int
     units_stolen: int
-    completed_units: int
-    lost_units: int
-    deaths: int
-    result: Any = None
-    dead_pids: tuple[int, ...] = ()
-    recorder: Recorder | None = None
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return self.rusage.efficiency(self.sequential_time, list(range(self.n_slaves)))
 
     def summary(self) -> str:
         lost = f" lost={self.lost_units}" if self.lost_units else ""
@@ -241,17 +219,7 @@ def _worker_task(
         now = ctx.now
         if pending:
             u = pending.pop(0)
-            arr = np.array([u])
-            # All reps of one unit run back to back: PARALLEL_MAP units
-            # are independent, so per-unit rep collapsing is exact
-            # (dynamic-reps plans are rejected at entry).
-            ops = sum(plan.unit_cost(rep, u) for rep in range(plan.reps))
-
-            def _do(arr=arr):
-                for rep in range(plan.reps):
-                    kernels.run_units(local, rep, arr)
-
-            yield Compute(ops, fn=_do if exec_num else None)
+            yield unit_work(plan, (u,), local, exec_num)
             done_units.append(u)
             done += 1
             units_since += 1
@@ -368,7 +336,6 @@ def _coord_task(
 
     done_total = sum(done_of.values())
     lost = max(0, total_units - done_total)
-    stats["lost_units"] = lost
     if lost and obs.enabled:
         obs.metrics.counter("steal.lost_units").inc(lost)
     for pid in range(n_workers):
@@ -387,8 +354,7 @@ def _coord_task(
         if now - gather_start > sc.hard_stall:
             break  # unconditional: a stealing run must never hang
         yield Sleep(sc.tick)
-    sink["results"] = results
-    sink["lost"] = lost
+    sink["parts"] = [(r["units"], r.get("data")) for r in results.values()]
 
 
 def run_stealing(
@@ -404,104 +370,37 @@ def run_stealing(
     """Run ``plan`` under decentralized work stealing.
 
     ``run_cfg.cluster.n_slaves`` is the worker count; the termination
-    coordinator runs on the master processor.  Worker crashes are
-    tolerated: their units are reported lost (the coordinator never
-    hangs), everything computed elsewhere is still gathered.
+    coordinator runs on the master processor.  Every fault kind is
+    accepted.  Worker crashes are tolerated: their units are reported
+    lost (the coordinator never hangs), everything computed elsewhere is
+    still gathered.
     """
     run_cfg = run_cfg or RunConfig()
     sc = stealing or StealingConfig()
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        raise ConfigError(
-            "work stealing supports PARALLEL_MAP plans (independent "
-            f"iterations) only; plan {plan.name!r} has shape "
-            f"{plan.shape.name}. PIPELINE and REDUCTION_FRONT loops need "
-            "the central runtime (repro.runtime.run_application)."
-        )
-    if plan.dynamic_reps:
-        raise ConfigError(
-            "work stealing cannot run dynamic-reps (WHILE) plans: plan "
-            f"{plan.name!r} decides its repetition count from a global "
-            "convergence test, which needs the central runtime's sweep "
-            "barrier."
-        )
-    n = run_cfg.cluster.n_slaves
-    loads = dict(loads or {})
-    for pid in loads:
-        if not 0 <= pid < n:
-            raise ConfigError(f"competing load assigned to non-worker pid {pid}")
-    injector = None
-    if faults is not None and not faults.empty:
-        faults.validate_for(n)
-        injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
-    cluster = Cluster(run_cfg.cluster, loads, recorder, injector)
-    exec_num = run_cfg.execute_numerics
-    rng = np.random.default_rng(seed)
-    global_state = plan.kernels.make_global(rng) if exec_num else None
-    lo, hi = plan.unit_space()
-    counts = proportional_counts(hi - lo, [1.0] * n, minimum=1)
-    stats: dict[str, int] = {}
-    sink: dict[str, Any] = {}
-    start = lo
-    for pid in range(n):
-        units = tuple(range(start, start + counts[pid]))
-        start += counts[pid]
-        local = (
-            plan.kernels.make_local(global_state, np.asarray(units))
-            if exec_num
-            else None
-        )
-        cluster.spawn(
-            pid, _worker_task, plan, exec_num, units, local, n, sc, stats, seed
-        )
-    cluster.spawn(
-        run_cfg.cluster.master_pid, _coord_task, n, hi - lo, sc, stats, sink
+    bag = BagRun(
+        "work stealing",
+        plan,
+        run_cfg,
+        loads,
+        seed=seed,
+        recorder=recorder,
+        faults=faults,
     )
-    cluster.run(until=run_cfg.max_virtual_time)
-    if "results" not in sink:
-        from ..errors import SimulationError
-
-        if cluster.engine.pending():
-            raise SimulationError(
-                f"stealing run exceeded max_virtual_time={run_cfg.max_virtual_time}"
-            )
-        cluster.run()  # surfaces DeadlockError diagnostics
-        raise SimulationError("coordinator never gathered results")
-
-    elapsed = max(
-        cluster.task_finish_time(pid)
-        for pid in range(run_cfg.cluster.n_processors)
-        if pid not in cluster.dead_pids
+    n = bag.n
+    stats = bag.stats
+    for pid, units, local in bag.split():
+        bag.cluster.spawn(
+            pid, _worker_task, plan, bag.exec_num, units, local, n, sc, stats, seed
+        )
+    bag.cluster.spawn(
+        run_cfg.cluster.master_pid, _coord_task, n, bag.total, sc, stats, bag.sink
     )
-    completed = sum(len(res["units"]) for res in sink["results"].values())
-    result = None
-    if exec_num and sink.get("results"):
-        merged = {
-            pid: (np.asarray(res["units"]), res.get("data"))
-            for pid, res in sink["results"].items()
-            if res.get("data") is not None and len(res["units"])
-        }
-        result = plan.kernels.merge_results(global_state, merged)
-    return StealingResult(
-        name=plan.name,
-        n_slaves=n,
-        elapsed=elapsed,
-        sequential_time=plan.total_ops() / run_cfg.cluster.processor.speed,
-        rusage=cluster.rusage(elapsed),
-        message_count=cluster.message_count,
-        bytes_sent=cluster.bytes_sent,
+    bag.run()
+    return bag.result(
+        StealingResult,
         steals=stats.get("steals", 0),
         steal_hits=stats.get("serves", 0),
         steal_denies=stats.get("denies", 0),
         steal_aborts=stats.get("aborts", 0),
         units_stolen=stats.get("units_stolen", 0),
-        completed_units=completed,
-        # Custody accounting: a unit is lost unless its *result* was
-        # gathered — this also covers units a crashed worker computed
-        # but never got to hand over (the coordinator's steal.lost_units
-        # counter tracks only never-computed units).
-        lost_units=(hi - lo) - completed,
-        deaths=stats.get("deaths", 0),
-        result=result,
-        dead_pids=tuple(sorted(cluster.dead_pids)),
-        recorder=recorder,
     )

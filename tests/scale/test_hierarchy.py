@@ -92,7 +92,7 @@ class TestRunHierarchical:
 
     def test_load_on_submaster_pid_rejected(self):
         bag = synthetic_bag(32, 1e4)
-        with pytest.raises(ConfigError, match="non-leaf"):
+        with pytest.raises(ConfigError, match="non-worker"):
             run_hierarchical(
                 bag, cfg(8), {8: ConstantLoad(k=1)}, fanout=2
             )

@@ -51,24 +51,30 @@ def _close(a, b):
     return all(np.allclose(a[k], b[k]) for k in a)
 
 
+PLANES = ["rate", "hier", "diffusion", "stealing", "rdlb"]
+
+
 class TestNumericsMatchSequential:
     @pytest.mark.parametrize(
-        "strategy", ["stealing", "rdlb", "fsc", "gss", "factoring"]
+        "strategy",
+        ["rate", "hier", "diffusion", "stealing", "rdlb", "fsc", "gss", "factoring"],
     )
     def test_adaptive_multi_rep(self, strategy):
-        """reps=3 with data-dependent costs: per-unit rep collapsing
-        must be exact for PARALLEL_MAP."""
+        """reps=3 with data-dependent costs: every rep of every unit
+        runs, and per-unit rep collapsing is exact for PARALLEL_MAP."""
         plan = _plan("adaptive")
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         out = run_strategy(strategy, plan, cfg, seed=SEED)
         assert out.lost_units == 0 and out.deaths == 0
+        assert out.elapsed >= out.sequential_time / SLAVES
         assert _close(out.result, _truth(plan))
 
-    @pytest.mark.parametrize("strategy", ["stealing", "rdlb"])
+    @pytest.mark.parametrize("strategy", PLANES)
     def test_heavy_tailed_particle(self, strategy):
         plan = _plan("particle")
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         out = run_strategy(strategy, plan, cfg, seed=SEED)
+        assert out.elapsed >= out.sequential_time / SLAVES
         assert _close(out.result, _truth(plan))
 
 
@@ -173,6 +179,20 @@ class TestFaultKindGuards:
         with pytest.raises(ConfigError, match="crashes and stalls"):
             run_rdlb(_plan(), cfg, faults=faults)
 
+    @pytest.mark.parametrize("strategy", ["rate", "hier"])
+    def test_tree_rejects_leaf_crash(self, strategy):
+        """A crashed leaf's units die with it: the tree refuses the plan
+        at entry instead of waiting for them until max_virtual_time."""
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES), max_virtual_time=60.0)
+        faults = FaultPlan(name="leaf-crash", crashes=(SlaveCrash(pid=1, at=0.01),))
+        with pytest.raises(ConfigError, match="sub-master crashes only"):
+            run_strategy(strategy, _plan(), cfg, seed=SEED, faults=faults)
+
+    def test_diffusion_rejects_faults(self):
+        faults = FaultPlan(name="crash", crashes=(SlaveCrash(pid=1, at=0.01),))
+        with pytest.raises(ConfigError, match="no fault hooks"):
+            run_strategy("diffusion", _plan(), RunConfig(), faults=faults)
+
 
 class TestRegistry:
     def test_chunking_strategies_keep_the_callers_config(self, monkeypatch):
@@ -192,7 +212,7 @@ class TestRegistry:
 
 
 class TestPlanShapeGuards:
-    @pytest.mark.parametrize("strategy", ["stealing", "rdlb"])
+    @pytest.mark.parametrize("strategy", PLANES)
     def test_dynamic_reps_rejected(self, strategy):
         bag = dataclasses.replace(
             synthetic_bag(16, 1e4), dynamic_reps=True
@@ -202,6 +222,14 @@ class TestPlanShapeGuards:
         )
         with pytest.raises(ConfigError):
             run_strategy(strategy, bag, cfg, seed=SEED)
+
+    @pytest.mark.parametrize("strategy", PLANES)
+    def test_load_on_non_worker_rejected(self, strategy):
+        """Competing load may sit on workers only, not on the master."""
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
+        loads = {SLAVES: ConstantLoad(k=1)}
+        with pytest.raises(ConfigError, match="non-worker"):
+            run_strategy(strategy, _plan(), cfg, loads, seed=SEED)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):

@@ -99,6 +99,7 @@ MODULES = [
     "repro.baselines",
     "repro.baselines.diffusion",
     "repro.strategies",
+    "repro.strategies.bagplane",
     "repro.strategies.protocol",
     "repro.strategies.protocol_model",
     "repro.strategies.registry",
