@@ -149,6 +149,10 @@ def mutation_sweep() -> list[tuple[Model, tuple[str, ...]]]:
         (build_steal(StealConfig(), "lose_stolen_units"), ("RA701",)),
         (build_steal(StealConfig(), "double_serve"), ("RA702",)),
         (build_steal(StealConfig(), "ignore_late_work"), ("RA701",)),
+        (
+            build_steal(StealConfig(crashable=("w0",)), "skip_reissue"),
+            ("RA701",),
+        ),
     ]
     return pairs
 

@@ -34,7 +34,13 @@ from ..faults import FaultPlan
 from ..obs import Recorder
 from ..sim import LoadGenerator, Poll, Recv, Send, Sleep
 from ..sim.network import build_topology
-from ..strategies.bagplane import BagRun, PlaneResult, unit_work
+from ..strategies.bagplane import (
+    BagRun,
+    CustodyLedger,
+    PlaneResult,
+    result_part,
+    unit_work,
+)
 
 __all__ = ["DiffusionResult", "run_diffusion"]
 
@@ -149,14 +155,10 @@ def _diff_slave(
 
     if unreported:
         yield Send(ctx.master_pid, _PROGRESS, unreported, 16)
-    payload = {"units": tuple(done_units)}
-    if exec_num:
-        payload["data"] = kernels.local_result(local)
-    nbytes = kernels.result_bytes(len(done_units)) if exec_num else 64
-    yield Send(ctx.master_pid, _RESULT, payload, nbytes)
+    yield Send(ctx.master_pid, _RESULT, *result_part(plan, done_units, local, exec_num))
 
 
-def _diff_master(ctx, n_slaves: int, total_units: int, sink: dict):
+def _diff_master(ctx, n_slaves: int, total_units: int, ledger: CustodyLedger):
     """Passive coordinator: termination detection + gather only."""
     done = 0
     while done < total_units:
@@ -164,14 +166,13 @@ def _diff_master(ctx, n_slaves: int, total_units: int, sink: dict):
         done += msg.payload
     for pid in range(n_slaves):
         yield Send(pid, _TERM, None, 16)
-    parts = []
     for _ in range(n_slaves):
         msg = yield Recv(tag=_RESULT)
-        parts.append((msg.payload["units"], msg.payload.get("data")))
-    sink["parts"] = parts
+        ledger.gather(msg.payload["units"], msg.payload.get("data"))
+    ledger.closed = True
 
 
-def _refuse_faults(faults: FaultPlan) -> str:
+def refuse_faults(faults: FaultPlan) -> str:
     return "it has no fault hooks; run it without --faults"
 
 
@@ -200,7 +201,7 @@ def run_diffusion(
         seed=seed,
         recorder=recorder,
         faults=faults,
-        refuse=_refuse_faults,
+        refuse=refuse_faults,
         topology=topology,
     )
     n = bag.n
@@ -218,7 +219,9 @@ def run_diffusion(
             pid, _diff_slave, plan, bag.exec_num, units, local,
             neighbor_map[pid], bag.stats,
         )
-    bag.cluster.spawn(run_cfg.cluster.master_pid, _diff_master, n, bag.total, bag.sink)
+    bag.cluster.spawn(
+        run_cfg.cluster.master_pid, _diff_master, n, bag.total, bag.ledger
+    )
     bag.run()
     return bag.result(
         DiffusionResult,

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from collections.abc import Callable
+from typing import Any, Sequence
 
 from .apps import REGISTRY
 from .config import (
@@ -42,6 +43,7 @@ from .config import (
     ProcessorSpec,
     RunConfig,
 )
+from .errors import ConfigError
 from .faults import NAMED_PLANS, FaultPlan, load_plan
 from .obs import Recorder, RunReport
 from .runtime import run_application
@@ -98,8 +100,10 @@ def _faults_from_args(
     args: argparse.Namespace, plan, run_cfg: RunConfig, loads: dict
 ) -> FaultPlan | None:
     """Resolve ``--faults``: a built-in plan name, a JSON file path, or
-    ``none``.  Fractional fault times (e.g. "crash at 40% of the run")
-    are resolved against a fault-free calibration run."""
+    ``none``.  A plan the cluster or the strategy's plane cannot run is
+    a :class:`ConfigError`, raised before anything runs.  Fractional
+    fault times (e.g. "crash at 40% of the run") are resolved against a
+    fault-free calibration run."""
     name = getattr(args, "faults", None)
     if name is None or name == "none":
         return None
@@ -107,6 +111,15 @@ def _faults_from_args(
     fault_plan.validate_for(run_cfg.cluster.n_slaves)
     if fault_plan.empty:
         return None
+    if args.strategy != "centralized":
+        from .strategies import refuse_faults
+
+        reason = refuse_faults(args.strategy, fault_plan)
+        if reason is not None:
+            raise ConfigError(
+                f"--strategy {args.strategy} cannot run fault plan "
+                f"{fault_plan.name or 'custom'!r}: {reason}"
+            )
     if fault_plan.needs_horizon:
         if args.strategy == "centralized":
             base = run_application(plan, run_cfg, loads=loads, seed=args.seed)
@@ -127,18 +140,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan = _build_plan(args.app, args.n, args.slaves)
     run_cfg = _run_cfg_from_args(args)
     loads = _loads_from_args(args)
-    faults = _faults_from_args(args, plan, run_cfg, loads)
-    if args.strategy != "centralized":
-        from .errors import ConfigError
-        from .strategies import run_strategy
+    try:
+        faults = _faults_from_args(args, plan, run_cfg, loads)
+        if args.strategy != "centralized":
+            from .strategies import run_strategy
 
-        try:
             out = run_strategy(
                 args.strategy, plan, run_cfg, loads, seed=args.seed, faults=faults
             )
-        except ConfigError as exc:
-            print(f"run: {exc}")
-            return 2
+    except ConfigError as exc:
+        print(f"run: {exc}")
+        return 2
+    if args.strategy != "centralized":
         print(out.summary())
         print(
             f"sequential: {out.sequential_time:.2f}s  "
@@ -378,26 +391,24 @@ def _chaos_failed_cell(record: object) -> dict[str, object]:
     }
 
 
-def _cmd_chaos_hier(args: argparse.Namespace) -> int:
-    """Sub-master-crash matrix for the hierarchical control plane.
+def _chaos_matrix(
+    args: argparse.Namespace,
+    matrix: str,
+    fn: str,
+    params: dict[str, object],
+    cells_of: Callable[[Any], list[dict[str, Any]]],
+    tag: Callable[[dict[str, Any]], str],
+    doc: dict[str, object],
+) -> int:
+    """Run one chaos matrix as an orchestrated sweep with one job per app
+    (its baseline and every cell), print each cell, write ``--json``.
 
-    For each PARALLEL_MAP application: a fault-free hierarchical
-    baseline, then one cell per targeted sub-master crash (the first
-    and the last level-1 sub-master, at 40% and 60% of the fault-free
-    horizon).  Every crash cell must complete with results identical to
-    the baseline — the custody rule (units travel leaf-to-leaf only)
-    means a dead sub-master can never lose shipped cells — and must
-    actually exercise the failure detector (``deaths``/``reparents``
-    counters).  PIPELINE / REDUCTION_FRONT apps are skipped: the
-    hierarchical plane is PARALLEL_MAP-only, their crash recovery is
-    the central runtime's checkpoint machinery (the default matrix).
-    Apps fan out as jobs of an orchestrated sweep (one baseline + both
-    crash cells per job).
+    ``cells_of`` turns a job's result into its cells and ``tag`` gives a
+    cell's bracketed counters.  Exits 1 when any cell failed.
     """
     import json
 
     from .orchestrator import JobSpec, submit_sweep
-    from .scale import build_tree
 
     apps = args.apps or sorted(REGISTRY)
     for app in apps:
@@ -405,176 +416,91 @@ def _cmd_chaos_hier(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
             )
-    tree = build_tree(args.slaves, args.fanout)
-    if not tree.internal:
+    specs = [
+        JobSpec(
+            id=f"{matrix}/{app}",
+            fn=f"repro.faults.chaosrun:{fn}",
+            params={"app": app, **params},
+            max_retries=1,
+            backoff_s=0.1,
+        )
+        for app in apps
+    ]
+    sweep = submit_sweep(
+        specs,
+        state_dir=args.state_dir,
+        workers=args.workers,
+        meta={"matrix": matrix},
+    )
+    cells: list[dict[str, Any]] = []
+    for record in sweep.records:
+        row = [_chaos_failed_cell(record)] if not record.ok else cells_of(record.result)
+        for cell in row:
+            cells.append(cell)
+            detail = f"  ({cell['detail']})" if "detail" in cell else ""
+            print(
+                f"chaos {cell['app']:>8} x {cell['plan']:<20} {cell['outcome']}"
+                f"{tag(cell) if record.ok else ''}{detail}"
+            )
+    failed = sum(cell["outcome"] == "FAILED" for cell in cells)
+    print(
+        f"\nchaos: {len(cells)} cell(s), {failed} failure(s) "
+        f"[{matrix}, seed={args.seed}]"
+    )
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"ok": not failed, **doc, "cells": cells}, fh, indent=2, sort_keys=True
+            )
+        print(f"chaos results written to {args.json}")
+    return 1 if failed else 0
+
+
+def _cmd_chaos_bag(args: argparse.Namespace) -> int:
+    """Crash matrix for a bag plane (``--control hier|stealing|rdlb``).
+
+    For each PARALLEL_MAP application: a fault-free baseline under the
+    plane, then one cell per targeted crash (see
+    :func:`repro.faults.chaosrun.chaos_bag_cells`).  Every cell must read
+    ``recovered``: no unit lost, the crash seen, and the result matching
+    the baseline (bit for bit under ``hier``).  A hang, a loss or a
+    divergence fails the cell.  PIPELINE / REDUCTION_FRONT apps are
+    skipped: the bag planes are PARALLEL_MAP-only, and those shapes
+    recover through the central runtime's checkpoints (the default
+    matrix).
+    """
+    from .scale import build_tree
+
+    control = args.control
+    if control == "hier" and not build_tree(args.slaves, args.fanout).internal:
         raise SystemExit(
             f"chaos: --slaves {args.slaves} with --fanout {args.fanout} "
             "builds a flat tree (no sub-masters to crash); "
             "use more slaves or a smaller fanout"
         )
-    specs = [
-        JobSpec(
-            id=f"chaos-hier/{app}",
-            fn="repro.faults.chaosrun:chaos_hier_cells",
-            params={
-                "app": app,
-                "n": args.n,
-                "slaves": args.slaves,
-                "fanout": args.fanout,
-                "seed": args.seed,
-            },
-            max_retries=1,
-            backoff_s=0.1,
-        )
-        for app in apps
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        meta={"matrix": "chaos-hier"},
-    )
-    cells: list[dict[str, object]] = []
-    failed = 0
-    for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
-            cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        row = record.result
+
+    def cells_of(row: dict[str, Any]) -> list[dict[str, Any]]:
         if row["skipped"] is not None:
-            print(
-                f"chaos {row['app']:>8} x hier           skipped ({row['skipped']})"
-            )
-            continue
-        for cell in row["cells"]:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<14} {cell['outcome']}"
-                f"  [pid={cell['crash_pid']} deaths={cell['deaths']}"
-                f" reparents={cell['reparents']}]"
-                f"{detail}"
-            )
-    ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} hierarchical cell(s), {failed} failure(s) "
-        f"[fanout={args.fanout} slaves={args.slaves} seed={args.seed}]"
-    )
-    if args.json is not None:
-        doc = {
-            "ok": ok,
-            "control": "hier",
-            "fanout": args.fanout,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "cells": cells,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"chaos results written to {args.json}")
-    return 0 if ok else 1
+            print(f"chaos {row['app']:>8} x {control:<20} skipped ({row['skipped']})")
+        return list(row["cells"])
 
-
-def _cmd_chaos_strategy(args: argparse.Namespace) -> int:
-    """Worker-crash matrix for a robust strategy plane.
-
-    For each PARALLEL_MAP application: a fault-free baseline under the
-    strategy, then one cell per targeted worker crash (an early worker
-    at 25% and the last worker at 60% of the fault-free horizon).  Every
-    cell must terminate and land on the plane's documented contract:
-    ``recovered`` (all units complete, result numerically matching the
-    baseline — rDLB's chunk reassignment) or ``lost-expected`` (work
-    stealing's explicit loss report for the dead worker's un-gathered
-    units).  A hang, silent divergence, or implausible loss accounting
-    fails the cell.  PIPELINE / REDUCTION_FRONT apps are skipped — the
-    strategy planes are PARALLEL_MAP-only.
-    """
-    import json
-
-    from .orchestrator import JobSpec, submit_sweep
-
-    apps = args.apps or sorted(REGISTRY)
-    for app in apps:
-        if app not in REGISTRY:
-            raise SystemExit(
-                f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
-            )
-    specs = [
-        JobSpec(
-            id=f"chaos-{args.control}/{app}",
-            fn="repro.faults.chaosrun:chaos_strategy_cells",
-            params={
-                "app": app,
-                "strategy": args.control,
-                "n": args.n,
-                "slaves": args.slaves,
-                "seed": args.seed,
-            },
-            max_retries=1,
-            backoff_s=0.1,
+    def tag(cell: dict[str, Any]) -> str:
+        reparents = f" reparents={cell['reparents']}" if control == "hier" else ""
+        return (
+            f"  [pid={cell['crash_pid']} deaths={cell.get('deaths', '?')}"
+            f" lost={cell.get('lost_units', '?')}{reparents}]"
         )
-        for app in apps
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        meta={"matrix": f"chaos-{args.control}"},
+
+    params: dict[str, object] = {
+        "control": control,
+        "n": args.n,
+        "slaves": args.slaves,
+        "seed": args.seed,
+        "fanout": args.fanout,
+    }
+    return _chaos_matrix(
+        args, f"chaos-{control}", "chaos_bag_cells", params, cells_of, tag, params
     )
-    cells: list[dict[str, object]] = []
-    failed = 0
-    for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
-            cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        row = record.result
-        if row["skipped"] is not None:
-            print(
-                f"chaos {row['app']:>8} x {args.control:<14} "
-                f"skipped ({row['skipped']})"
-            )
-            continue
-        for cell in row["cells"]:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<20} {cell['outcome']}"
-                f"  [pid={cell['crash_pid']}"
-                f" deaths={cell.get('deaths', '?')}"
-                f" lost={cell.get('lost_units', '?')}]"
-                f"{detail}"
-            )
-    ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} {args.control} cell(s), {failed} failure(s) "
-        f"[slaves={args.slaves} seed={args.seed}]"
-    )
-    if args.json is not None:
-        doc = {
-            "ok": ok,
-            "control": args.control,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "cells": cells,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"chaos results written to {args.json}")
-    return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -593,17 +519,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ``--workers`` widens the warm pool and ``--state-dir`` makes the
     matrix resumable.
     """
-    import json
-
     from .errors import FaultPlanError
-    from .orchestrator import JobSpec, submit_sweep
 
-    if args.control == "hier":
-        return _cmd_chaos_hier(args)
-    if args.control in ("stealing", "rdlb"):
-        return _cmd_chaos_strategy(args)
-
-    apps = args.apps or sorted(REGISTRY)
+    if args.control != "central":
+        return _cmd_chaos_bag(args)
     plan_names = args.plans or [
         "message-light",
         "message-heavy",
@@ -617,77 +536,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except FaultPlanError as exc:
         print(f"chaos: {exc}")
         return 2
-    for app in apps:
-        if app not in REGISTRY:
-            raise SystemExit(
-                f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
-            )
     ckpt_cfg = _ckpt_from_args(args)
-    specs = [
-        JobSpec(
-            id=f"chaos/{app}",
-            fn="repro.faults.chaosrun:chaos_app_cells",
-            params={
-                "app": app,
-                "plans": list(plan_names),
-                "n": args.n,
-                "slaves": args.slaves,
-                "seed": args.seed,
-                "fault_seed": args.fault_seed,
-                "ckpt": ckpt_cfg.enabled,
-                "ckpt_interval": ckpt_cfg.interval,
-                "ckpt_placement": ckpt_cfg.placement,
-                "reports_dir": args.reports,
-            },
-            max_retries=1,
-            backoff_s=0.1,
-        )
-        for app in apps
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        meta={"matrix": "chaos"},
+    params: dict[str, object] = {
+        "plans": list(plan_names),
+        "n": args.n,
+        "slaves": args.slaves,
+        "seed": args.seed,
+        "fault_seed": args.fault_seed,
+        "ckpt": ckpt_cfg.enabled,
+        "ckpt_interval": ckpt_cfg.interval,
+        "ckpt_placement": ckpt_cfg.placement,
+        "reports_dir": args.reports,
+    }
+    doc: dict[str, object] = {
+        "n": args.n,
+        "slaves": args.slaves,
+        "seed": args.seed,
+        "fault_seed": args.fault_seed,
+    }
+    return _chaos_matrix(
+        args, "chaos", "chaos_app_cells", params, list, lambda cell: "", doc
     )
-    cells: list[dict[str, object]] = []
-    failed = 0
-    for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
-            cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        for cell in record.result:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<14} "
-                f"{cell['outcome']}{detail}"
-            )
-    ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} cell(s), {failed} failure(s) "
-        f"[apps={len(apps)} plans={len(plan_names)} seed={args.seed} "
-        f"fault-seed={args.fault_seed}]"
-    )
-    if args.json is not None:
-        doc = {
-            "ok": ok,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "fault_seed": args.fault_seed,
-            "cells": cells,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"chaos results written to {args.json}")
-    return 0 if ok else 1
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -968,10 +837,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         default="central",
         help=(
             "control plane to stress: 'central' runs the fault-plan "
-            "matrix against the central runtime (default); 'hier' runs "
-            "targeted sub-master crashes against the hierarchical plane; "
-            "'stealing' / 'rdlb' run targeted worker crashes against the "
-            "robust strategy planes"
+            "matrix against the central runtime (default); 'hier', "
+            "'stealing' and 'rdlb' run targeted crashes against a bag "
+            "plane, every cell of which must recover"
         ),
     )
     p_chaos.add_argument(

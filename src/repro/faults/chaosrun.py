@@ -18,18 +18,20 @@ import numpy as np
 
 from ..config import CheckpointConfig, ClusterSpec, RunConfig
 
-__all__ = ["chaos_app_cells", "chaos_hier_cells", "chaos_strategy_cells"]
+__all__ = ["chaos_app_cells", "chaos_bag_cells"]
 
 
-def _results_identical(a: object, b: object) -> bool:
-    """Deep bit-identity between two run results (dicts/arrays/None)."""
+def _results_match(a: object, b: object, exact: bool = True) -> bool:
+    """Deep bit-identity (``exact``) or numerical closeness between two
+    run results (dicts/arrays/None)."""
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(
-            _results_identical(a[k], b[k]) for k in a
+            _results_match(a[k], b[k], exact) for k in a
         )
     if a is None or b is None:
         return a is b
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+    x, y = np.asarray(a), np.asarray(b)
+    return bool(np.array_equal(x, y) if exact else np.allclose(x, y))
 
 
 def _build_plan(app: str, n: int, n_slaves: int) -> Any:
@@ -99,7 +101,7 @@ def chaos_app_cells(
                 cell["outcome"] = "FAILED"
                 cell["detail"] = f"unexpected SlaveLostError: {exc}"
         else:
-            identical = _results_identical(res.result, base_result)
+            identical = _results_match(res.result, base_result)
             cell["bit_identical"] = identical
             cell["retransmits"] = res.retransmits
             cell["messages_lost"] = res.messages_lost
@@ -122,160 +124,97 @@ def chaos_app_cells(
     return cells
 
 
-def chaos_hier_cells(
+def chaos_bag_cells(
     app: str,
-    n: int,
-    slaves: int,
-    fanout: int,
-    seed: int,
-) -> dict[str, Any]:
-    """One app's row of the hierarchical sub-master-crash matrix.
-
-    Returns ``{"app", "skipped", "cells"}``; ``skipped`` names the loop
-    shape when the app has no hierarchical plane (PIPELINE /
-    REDUCTION_FRONT), in which case ``cells`` is empty.
-    """
-    from ..compiler.plan import LoopShape
-    from ..faults import FaultPlan, SlaveCrash
-    from ..scale import build_tree, hier_can_recover, run_hierarchical
-
-    plan = _build_plan(app, n, slaves)
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        return {"app": app, "skipped": plan.shape.name, "cells": []}
-    cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
-    tree = build_tree(slaves, fanout)
-    base = run_hierarchical(plan, cfg, fanout=fanout, seed=seed)
-    targets = [
-        ("first-submaster", tree.internal[0], 0.4),
-        ("last-submaster", tree.internal[-1], 0.6),
-    ]
-    cells: list[dict[str, Any]] = []
-    for label, pid, frac in targets:
-        faults = FaultPlan(
-            name=f"hier-{label}",
-            crashes=(SlaveCrash(pid=pid, at=frac * base.elapsed),),
-        )
-        assert hier_can_recover(tree, faults)
-        cell: dict[str, Any] = {
-            "app": app,
-            "plan": f"hier-{label}",
-            "fanout": fanout,
-            "crash_pid": pid,
-        }
-        res = run_hierarchical(plan, cfg, fanout=fanout, seed=seed, faults=faults)
-        identical = _results_identical(res.result, base.result)
-        cell["bit_identical"] = identical
-        cell["deaths"] = res.deaths
-        cell["reparents"] = res.reparents
-        cell["dead_pids"] = list(res.dead_pids)
-        cell["elapsed"] = res.elapsed
-        if identical and res.deaths >= 1 and res.reparents >= 1:
-            cell["outcome"] = "recovered"
-        else:
-            cell["outcome"] = "FAILED"
-            cell["detail"] = (
-                "results diverged from fault-free baseline"
-                if not identical
-                else "crash did not exercise the failure detector"
-            )
-        cells.append(cell)
-    return {"app": app, "skipped": None, "cells": cells}
-
-
-def _results_close(a: object, b: object) -> bool:
-    """Numerical closeness between two run results (dicts/arrays/None).
-
-    Strategy planes merge per-chunk partial results whose summation
-    order depends on the (fault-dependent) unit-to-worker assignment, so
-    bit identity is the wrong bar; closeness is.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_results_close(a[k], b[k]) for k in a)
-    if a is None or b is None:
-        return a is b
-    return bool(np.allclose(np.asarray(a), np.asarray(b)))
-
-
-def chaos_strategy_cells(
-    app: str,
-    strategy: str,
+    control: str,
     n: int,
     slaves: int,
     seed: int,
+    fanout: int = 4,
 ) -> dict[str, Any]:
-    """One app's row of the robust-strategy crash matrix.
+    """One app's row of the bag-plane crash matrix under ``control``
+    (``hier`` with sub-master ``fanout``, ``stealing`` or ``rdlb``).
 
-    Crashes one worker mid-run under ``strategy`` (``stealing`` or
-    ``rdlb``) and checks the contract those planes promise: the run
-    terminates (never hangs), the crash is detected, and the outcome is
-    either full recovery (all units complete, result numerically equal
-    to the fault-free baseline — rDLB reassigns the dead worker's
-    chunks) or an explicit loss report (work stealing gives up the dead
-    worker's un-gathered units as ``lost_units``, with the survivors'
-    partial result intact).  Silent divergence or a hang is a failure.
-
-    Returns ``{"app", "strategy", "skipped", "cells"}`` with the same
-    shape as :func:`chaos_hier_cells`.
+    ``hier`` crashes the first and last level-1 sub-masters and the
+    first and last leaves (at 40% and 60% of the fault-free horizon);
+    the others an early worker (25%) and the last worker (60%).  A cell
+    is ``recovered`` when no unit is lost, the crash was seen (and a
+    sub-master's shard re-parented) and the result matches the
+    baseline: bit for bit under ``hier``, numerically under the others,
+    whose merge order follows the unit-to-worker assignment.  Anything
+    else is ``FAILED``.  ``skipped`` names the loop shape of an app that
+    is not a bag of independent units.
     """
     from ..compiler.plan import LoopShape
     from ..errors import SimulationError
     from ..faults import FaultPlan, SlaveCrash
+    from ..scale import build_tree, run_hierarchical
     from ..strategies import run_strategy
 
     plan = _build_plan(app, n, slaves)
+    row: dict[str, Any] = {"app": app, "control": control, "skipped": None}
     if plan.shape is not LoopShape.PARALLEL_MAP:
-        return {"app": app, "strategy": strategy, "skipped": plan.shape.name, "cells": []}
+        return {**row, "skipped": plan.shape.name, "cells": []}
     cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
-    base = run_strategy(strategy, plan, cfg, seed=seed)
-    lo, hi = plan.unit_space()
-    total = hi - lo
-    # Worker pids are 0..slaves-1 in the strategy planes (the master /
-    # coordinator sits at pid == slaves and cannot be faulted).
-    targets = [
-        ("early-crash", 1 % slaves, 0.25),
-        ("late-crash", slaves - 1, 0.6),
-    ]
+
+    def run(faults: Any = None) -> Any:
+        if control == "hier":
+            return run_hierarchical(plan, cfg, fanout=fanout, seed=seed, faults=faults)
+        return run_strategy(control, plan, cfg, seed=seed, faults=faults)
+
+    base = run()
+    if control == "hier":
+        internal = build_tree(slaves, fanout).internal
+        targets = [
+            ("first-submaster", internal[0], 0.4),
+            ("last-submaster", internal[-1], 0.6),
+            ("first-leaf", 0, 0.4),
+            ("last-leaf", slaves - 1, 0.6),
+        ]
+    else:
+        # Worker pids are 0..slaves-1; the coordinator sits at pid ==
+        # slaves and cannot be faulted.
+        targets = [
+            ("early-crash", 1 % slaves, 0.25),
+            ("late-crash", slaves - 1, 0.6),
+        ]
     cells: list[dict[str, Any]] = []
     for label, pid, frac in targets:
         faults = FaultPlan(
-            name=f"{strategy}-{label}",
+            name=f"{control}-{label}",
             crashes=(SlaveCrash(pid=pid, at=frac * base.elapsed),),
         )
         cell: dict[str, Any] = {
             "app": app,
-            "strategy": strategy,
-            "plan": f"{strategy}-{label}",
+            "control": control,
+            "plan": faults.name,
             "crash_pid": pid,
         }
+        cells.append(cell)
         try:
-            res = run_strategy(strategy, plan, cfg, seed=seed, faults=faults)
+            res = run(faults)
         except SimulationError as exc:
             cell["outcome"] = "FAILED"
             cell["detail"] = f"simulation did not terminate cleanly: {exc}"
-            cells.append(cell)
             continue
-        close = _results_close(res.result, base.result)
-        cell["deaths"] = res.deaths
-        cell["dead_pids"] = list(res.dead_pids)
-        cell["lost_units"] = res.lost_units
-        cell["elapsed"] = res.elapsed
-        cell["result_matches_baseline"] = close
-        if not res.dead_pids:
-            cell["outcome"] = "FAILED"
+        reparents = getattr(res, "reparents", 0)  # a HierarchyResult
+        cell.update(
+            deaths=res.deaths,
+            reparents=reparents,
+            dead_pids=list(res.dead_pids),
+            lost_units=res.lost_units,
+            elapsed=res.elapsed,
+            result_matches_baseline=_results_match(
+                res.result, base.result, exact=control == "hier"
+            ),
+        )
+        if res.lost_units:
+            cell["detail"] = f"{res.lost_units} unit(s) lost"
+        elif res.deaths < 1:
             cell["detail"] = "crash did not land before the run finished"
-        elif res.lost_units == 0 and close:
-            cell["outcome"] = "recovered"
-        elif 0 < res.lost_units < total:
-            cell["outcome"] = "lost-expected"
-            cell["detail"] = (
-                f"{res.lost_units}/{total} units lost with the dead worker"
-            )
-        else:
-            cell["outcome"] = "FAILED"
-            cell["detail"] = (
-                "results diverged from fault-free baseline"
-                if res.lost_units == 0
-                else f"implausible loss: {res.lost_units}/{total} units"
-            )
-        cells.append(cell)
-    return {"app": app, "strategy": strategy, "skipped": None, "cells": cells}
+        elif "submaster" in label and reparents < 1:
+            cell["detail"] = "sub-master crash re-parented no shard"
+        elif not cell["result_matches_baseline"]:
+            cell["detail"] = "results diverged from fault-free baseline"
+        cell["outcome"] = "FAILED" if "detail" in cell else "recovered"
+    return {**row, "cells": cells}

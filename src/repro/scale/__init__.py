@@ -6,8 +6,8 @@ evaluated in the scaling-crossover study (see ``docs/scaling.md``):
 
 - :mod:`repro.scale.hierarchy` — a tree of sub-masters, each running the
   paper's rate-filtered redistribution over its shard and exchanging
-  only aggregate rate/remaining-work summaries upward, with sub-master
-  death detection and shard re-parenting;
+  only aggregate rate/remaining-work summaries upward, with shard
+  re-parenting and leaf re-issue on crash notices;
 - the topology-aware decentralized diffusion mode (promoted
   :mod:`repro.baselines.diffusion` over :mod:`repro.sim.network`
   topologies);
@@ -21,7 +21,6 @@ from .hierarchy import (
     HierarchyConfig,
     HierarchyResult,
     build_tree,
-    hier_can_recover,
     run_hierarchical,
 )
 from .protocol import ScaleTags
@@ -34,7 +33,6 @@ __all__ = [
     "build_tree",
     "crossover_analysis",
     "crossover_sweep",
-    "hier_can_recover",
     "run_hierarchical",
     "SyntheticBag",
     "synthetic_bag",

@@ -13,15 +13,13 @@ sends only one aggregate summary per period upward.  Movement *orders*
 internal node ever holds work and a sub-master crash cannot lose shipped
 cells.
 
-Fault tolerance: periodic reports/summaries double as heartbeats.  Every
-internal node (and the root) watches its children; an internal child
-silent for ``dead_after`` seconds is declared dead and its orphans are
-adopted by the detecting node (``sc.reparent``), whose cumulative
-counters reconstruct the shard's progress from the orphans' next
-reports.  Leaf silence is *not* acted upon: a fault plan that crashes a
-leaf (or the root) is rejected at entry (:func:`hier_can_recover`), and
-leaf-crash recovery is the central runtime's job (see
-``repro.runtime.master``); this mode targets control-plane failures.
+Fault tolerance: nodes learn of crashes from crash notices, never from
+silence, so a partitioned sub-master is late, not dead.  A node adopts a
+crashed child sub-master's orphans at once (``sc.reparent``); their
+cumulative reports rebuild the shard's progress.  After a leaf crash
+the root terminates once the live leaves have drained, then gathers and
+re-issues what is missing
+(:meth:`~repro.strategies.bagplane.BagRun.recover`).
 
 Supports PARALLEL_MAP plans (independent iterations): the bag-of-units
 custody model above has no meaning for dependence-carrying shapes.
@@ -42,8 +40,18 @@ from ..obs import Recorder
 from ..runtime.filtering import TrendFilter
 from ..runtime.partition import proportional_counts
 from ..sim import LoadGenerator, Poll, Recv, Send, Sleep
-from ..strategies.bagplane import BagRun, PlaneResult, unit_work
+from ..strategies.bagplane import (
+    BagRun,
+    PlaneResult,
+    result_part,
+    serve_reissues,
+    unit_work,
+)
 from .protocol import ScaleTags
+
+# How long the root waits without the last results after a leaf crash:
+# only a message lost past the transport's retries can leave it waiting.
+_GIVE_UP = 60.0
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
 # (which pairs `Tags.X` send/receive sites) sees this control plane's
@@ -55,7 +63,6 @@ __all__ = [
     "HierarchyResult",
     "Tree",
     "build_tree",
-    "hier_can_recover",
     "run_hierarchical",
 ]
 
@@ -74,9 +81,6 @@ class HierarchyConfig:
         min_move: smallest number of units worth an order.
         idle_tick: leaf poll-loop sleep when out of work.
         tick: sub-master poll-loop sleep between empty polls.
-        dead_after: silence before an internal child is declared dead
-            and its shard re-parented (must comfortably exceed
-            ``report_period``).
     """
 
     report_period: float = 0.5
@@ -85,7 +89,6 @@ class HierarchyConfig:
     min_move: int = 2
     idle_tick: float = 0.02
     tick: float = 0.02
-    dead_after: float = 4.0
 
     def __post_init__(self) -> None:
         if self.report_period <= 0 or self.balance_period <= 0:
@@ -96,11 +99,6 @@ class HierarchyConfig:
             raise ConfigError("min_move must be >= 1")
         if self.idle_tick <= 0 or self.tick <= 0:
             raise ConfigError("poll ticks must be positive")
-        if self.dead_after <= 2 * self.report_period:
-            raise ConfigError(
-                "dead_after must exceed two report periods, got "
-                f"{self.dead_after} vs period {self.report_period}"
-            )
 
 
 @dataclass(frozen=True)
@@ -213,20 +211,6 @@ def build_tree(n_leaves: int, fanout: int | None = None) -> Tree:
     )
 
 
-def hier_can_recover(tree: Tree, faults: FaultPlan | None) -> bool:
-    """Whether a hierarchical run is expected to survive ``faults``.
-
-    Sub-master (internal node) crashes are recoverable: the parent
-    detects the silence and re-parents the shard.  Leaf crashes are not
-    (their pending units die with them); root crashes are not modeled.
-    """
-    if faults is None or faults.empty:
-        return True
-    return all(
-        tree.n_leaves <= crash.pid < tree.root for crash in faults.crashes
-    )
-
-
 @dataclass(kw_only=True)
 class HierarchyResult(PlaneResult):
     """Outcome and metrics of one hierarchical run (``n_slaves`` leaves)."""
@@ -253,14 +237,13 @@ class HierarchyResult(PlaneResult):
 class _Child:
     """A parent's view of one child (leaf or sub-master)."""
 
-    __slots__ = ("filt", "remaining", "done", "intake", "last_heard")
+    __slots__ = ("filt", "remaining", "done", "intake")
 
-    def __init__(self, remaining: int, intake: int, now: float):
+    def __init__(self, remaining: int, intake: int):
         self.filt = TrendFilter()
         self.remaining = remaining
         self.done = 0
         self.intake = intake
-        self.last_heard = now
 
 
 def _leaf_task(
@@ -283,6 +266,7 @@ def _leaf_task(
     parent = parent_pid
     last_report = 0.0
     terminated = False
+    hold = False  # after a leaf crash: stay for re-issued units
 
     while not terminated:
         while True:
@@ -317,6 +301,7 @@ def _leaf_task(
                 parent = int(msg.payload["parent"])
             elif tag == Tags.TERM:
                 terminated = True
+                hold = bool(msg.payload)
         if terminated:
             break
         if pending:
@@ -354,40 +339,43 @@ def _leaf_task(
             last_report = now
             units_since = 0
 
-    payload = {"units": tuple(done_units)}
-    if exec_num:
-        payload["data"] = kernels.local_result(local)
-    nbytes = kernels.result_bytes(len(done_units)) if exec_num else 64
-    yield Send(root_pid, Tags.RESULT, payload, nbytes)
+    for u in pending:  # units that arrived after the last report
+        yield unit_work(plan, (u,), local, exec_num)
+    done_units.extend(pending)
+    yield Send(root_pid, Tags.RESULT, *result_part(plan, done_units, local, exec_num))
+    if hold:
+        yield from serve_reissues(
+            plan, exec_num, root_pid, Tags.UNITS, Tags.RESULT, Tags.TERM
+        )
 
 
 def _node_task(
     ctx,
+    bag: BagRun,
     tree: Tree,
     kids: tuple[int, ...],
     init_remaining: dict[int, int],
     parent_pid: int | None,
     level: int,
     hc: HierarchyConfig,
-    stats: dict,
-    total_units: int,
-    sink: dict,
 ):
     """A sub-master (``parent_pid`` set) or the root (``parent_pid`` None)."""
     obs = ctx.obs
+    cluster = ctx.cluster
+    stats = bag.stats
     n_leaves = tree.n_leaves
     subtree = tree.subtree_children(ctx.pid)
     children: dict[int, _Child] = {}
-    now = ctx.now
     for pid in kids:
         intake = pid if pid < n_leaves else tree.first_leaf(pid)
-        children[pid] = _Child(init_remaining.get(pid, 0), intake, now)
+        children[pid] = _Child(init_remaining.get(pid, 0), intake)
     parent = parent_pid
     terminated = False
+    now = ctx.now
     last_sum = now
     last_balance = now
-    last_scan = now
-    scan_every = hc.dead_after / 2.0
+    dead: set[int] = set()
+    hold = False
 
     def _summary() -> dict[str, Any]:
         rem_total = 0
@@ -481,30 +469,23 @@ def _node_task(
                         meta={"level": level, "src": g_pid, "dst": d_st.intake},
                     )
 
-    def _scan(t: float):
-        """Declare silent internal children dead; adopt their orphans."""
-        dead = [
-            pid
-            for pid, st in children.items()
-            if pid >= n_leaves and t - st.last_heard > hc.dead_after
-        ]
-        for pid in dead:
-            del children[pid]
-            stats["deaths"] = stats.get("deaths", 0) + 1
-            orphans = subtree.get(pid, ())
-            if obs.enabled:
-                obs.metrics.counter("scale.deaths").inc()
-                obs.emit_counter(
-                    "scale",
-                    "death",
-                    t,
-                    1.0,
-                    pid=ctx.pid,
-                    meta={"dead": pid, "level": level, "orphans": list(orphans)},
-                )
-            for o in orphans:
-                intake = o if o < n_leaves else tree.first_leaf(o)
-                children[o] = _Child(0, intake, t)
+    def _bury():
+        """Act on crash notices: a dead child leaves my shard, and a dead
+        sub-master's children (or, if dead too, theirs) become mine."""
+        nonlocal hold
+        for pid in bag.notices(ctx, dead, "scale" if parent_pid is None else None):
+            # After a leaf crash the live leaves cannot finish every
+            # unit: the root holds them for the re-issue of its units.
+            hold = hold or pid < n_leaves
+            if children.pop(pid, None) is None:
+                continue
+            orphans = list(subtree.get(pid, ()))
+            while orphans:
+                o = orphans.pop(0)
+                if o in dead:
+                    orphans.extend(subtree.get(o, ()))
+                    continue
+                children[o] = _Child(0, o if o < n_leaves else tree.first_leaf(o))
                 yield Send(o, Tags.REPARENT, {"parent": ctx.pid}, 16)
                 stats["reparents"] = stats.get("reparents", 0) + 1
                 if obs.enabled:
@@ -526,7 +507,6 @@ def _node_task(
                         st.filt.update(float(rate))
                     if tag == Tags.SUM:
                         st.intake = int(p["intake"])
-                    st.last_heard = now
                     stats["reports"] = stats.get("reports", 0) + 1
             elif tag == Tags.TAKE:
                 yield from _route_take(
@@ -545,21 +525,38 @@ def _node_task(
         if now - last_balance >= hc.balance_period:
             yield from _balance(now)
             last_balance = now
-        if now - last_scan >= scan_every:
-            yield from _scan(now)
-            last_scan = now
+        if cluster.n_dead > len(dead):
+            yield from _bury()
         if parent is None:
-            if sum(st.done for st in children.values()) >= total_units:
+            if sum(st.done for st in children.values()) >= bag.total or (
+                hold and all(st.remaining == 0 for st in children.values())
+            ):
                 for pid in range(tree.root):
-                    yield Send(pid, Tags.TERM, None, 16)
+                    yield Send(pid, Tags.TERM, hold, 16)
                 break
 
-    if parent_pid is None:
-        parts = []
+    if parent_pid is not None:
+        return
+    ledger = bag.ledger
+    if not hold:
         for _ in range(n_leaves):
             msg = yield Recv(tag=Tags.RESULT)
-            parts.append((msg.payload["units"], msg.payload.get("data")))
-        sink["parts"] = parts
+            ledger.gather(msg.payload["units"], msg.payload.get("data"))
+    else:
+        yield from bag.recover(
+            ctx,
+            dead,
+            set(range(n_leaves)),
+            Poll(tag=Tags.RESULT),
+            lambda pid, payload, nbytes: Send(pid, Tags.UNITS, payload, nbytes),
+            plane="scale",
+            tick=hc.tick,
+            give_up=_GIVE_UP,
+        )
+        for pid in range(n_leaves):
+            if pid not in dead:
+                yield Send(pid, Tags.TERM, False, 16)
+    ledger.closed = True
 
 
 def run_hierarchical(
@@ -581,21 +578,12 @@ def run_hierarchical(
     the flat/centralized shape.  ``topology`` (or
     ``run_cfg.cluster.topology``) prices messages over an explicit
     interconnect, with each sub-master attached to its shard's first
-    leaf node and the root to leaf 0.  Fault plans that crash a leaf or
-    the root are rejected (:func:`hier_can_recover`).
+    leaf node and the root to leaf 0.  Crashes of leaves and sub-masters
+    are recovered; the root is the master and cannot be faulted.
     """
     run_cfg = run_cfg or RunConfig()
     hc = hier or HierarchyConfig()
     tree = build_tree(run_cfg.cluster.n_slaves, fanout)
-
-    def refuse(faults: FaultPlan) -> str | None:
-        if hier_can_recover(tree, faults):
-            return None
-        return (
-            "it recovers from sub-master crashes only (a crashed leaf "
-            "loses its units, a crashed root the gather)"
-        )
-
     bag = BagRun(
         "the hierarchical control plane",
         plan,
@@ -604,7 +592,6 @@ def run_hierarchical(
         seed=seed,
         recorder=recorder,
         faults=faults,
-        refuse=refuse,
         n_sub=tree.n_internal,
         attach={node: tree.first_leaf(node) for node in (*tree.internal, tree.root)},
         topology=topology,
@@ -639,15 +626,13 @@ def run_hierarchical(
         bag.cluster.spawn(
             node,
             _node_task,
+            bag,
             tree,
             kids,
             init_remaining,
             tree.parent.get(node),
             tree.level_of[node],
             hc,
-            stats,
-            bag.total,
-            bag.sink,
         )
 
     bag.run()

@@ -22,9 +22,12 @@ across sub-master crashes (``RA601``/``RA602``), leaf-custody unit
 conservation including in-flight ``sc.units`` payloads
 (``RA701``/``RA702``), and no-premature-termination — a leaf receiving
 ``sc.term`` while it still owns unworked units flags the transition
-(``RA704``).  Out of scope: rate filtering, proportional move sizing,
-timer cadences (reports are event-driven here), and leaf crashes (the
-real plane delegates those to the central runtime's recovery).
+(``RA704``).  Out of scope: rate filtering, proportional move sizing
+and timer cadences (reports are event-driven here).  Leaf crashes are
+recovered by the runtime's re-issue path (the custody ledger of
+:mod:`repro.strategies.bagplane`), which this model does not cover yet:
+the stealing model checks that path, and the hierarchy will share it
+once runtime and model run the same transition code (ROADMAP).
 """
 
 from __future__ import annotations
@@ -621,7 +624,7 @@ def build_model(
         dead_of=_tombstoned,
         notes=(
             "one leaf per sub-master; event-driven reports in place of "
-            "timers; accurate failure detector; leaf crashes out of "
-            "scope (central runtime's recovery owns them)"
+            "timers; accurate failure detector; leaf re-issue is "
+            "runtime-only"
         ),
     )

@@ -210,6 +210,11 @@ class Cluster:
         """Processors whose hosts crashed under fault injection."""
         return frozenset(self._dead)
 
+    @property
+    def n_dead(self) -> int:
+        """How many hosts have crashed: a cheap test for new crash notices."""
+        return len(self._dead)
+
     # ------------------------------------------------------------------
     # Scheduler core
     # ------------------------------------------------------------------

@@ -19,7 +19,8 @@ alternatives:
   master with reissue only on a holder's crash.
 
 The four planes share one launcher (:mod:`repro.strategies.bagplane`):
-entry validation, run plumbing and the result base class.  Selection is
+entry validation, run plumbing, the custody ledger with its one
+crash-recovery path, and the result base class.  Selection is
 by name through :func:`run_strategy` and ``repro run --strategy``.  The perturbation-robustness bench suite
 (:mod:`repro.strategies.robustness`) races the strategies over irregular
 workloads and recorded load traces and reports degradation versus an
@@ -32,6 +33,7 @@ from .registry import (
     STRATEGIES,
     StrategyOutcome,
     available_strategies,
+    refuse_faults,
     run_strategy,
 )
 from .protocol import RobustTags, StealTags
@@ -48,6 +50,7 @@ __all__ = [
     "StealingResult",
     "StrategyOutcome",
     "available_strategies",
+    "refuse_faults",
     "run_rdlb",
     "run_stealing",
     "run_strategy",

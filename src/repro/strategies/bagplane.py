@@ -1,4 +1,4 @@
-"""The one launcher of the bag-of-units control planes.
+"""The one launcher and the one crash-recovery path of the bag planes.
 
 A PARALLEL_MAP loop is a bag of independent units.  Four planes
 schedule such bags: the rate-filtered sub-master tree (``rate`` is its
@@ -13,10 +13,14 @@ module owns every decision they share:
   dynamic reps, where competing load may sit, and which fault plans the
   plane accepts;
 - :func:`unit_work`, the one ``Compute`` of a batch of units over every
-  rep;
+  rep, and :func:`result_part`, the one result a worker hands over;
 - run plumbing: the cluster, the global state, the even initial split,
   the run bounded by ``max_virtual_time``, the elapsed time over live
   processors and the merge of the gathered parts;
+- custody: the :class:`CustodyLedger` keeps the first gathered result of
+  each unit, and on a crash notice (:meth:`BagRun.notices`; no plane
+  times out silence) the one re-issue rule (:meth:`BagRun.recover`)
+  hands the un-gathered units to live workers;
 - :class:`PlaneResult`, the result every plane extends.
 
 The task functions stay in their planes' modules: host-time tracing
@@ -37,10 +41,17 @@ from ..errors import ConfigError, SimulationError
 from ..faults import FaultInjector, FaultPlan
 from ..obs import Recorder
 from ..runtime.partition import proportional_counts
-from ..sim import Cluster, Compute, LoadGenerator
+from ..sim import Cluster, Compute, LoadGenerator, Recv, Send, Sleep
 from ..sim.rusage import RusageReport
 
-__all__ = ["BagRun", "PlaneResult", "unit_work"]
+__all__ = [
+    "BagRun",
+    "CustodyLedger",
+    "PlaneResult",
+    "result_part",
+    "serve_reissues",
+    "unit_work",
+]
 
 
 @dataclass(kw_only=True)
@@ -49,7 +60,8 @@ class PlaneResult:
 
     ``n_slaves`` is the worker count.  A unit is lost unless its result
     was gathered (``lost_units``), which also covers units a crashed
-    worker computed but never handed over.
+    worker computed but never handed over.  ``deaths`` counts crashed
+    processes: each one reaches the plane as a crash notice.
     """
 
     name: str
@@ -101,14 +113,82 @@ def unit_work(
     return Compute(ops, fn=run)
 
 
+def result_part(
+    plan: ExecutionPlan, units: Sequence[int], local: Any, exec_num: bool
+) -> tuple[dict[str, Any], int]:
+    """A worker's result message: ``(payload, nbytes)`` for ``units``
+    computed in ``local``."""
+    payload: dict[str, Any] = {"units": tuple(units)}
+    if not exec_num:
+        return payload, 64
+    payload["data"] = plan.kernels.local_result(local)
+    return payload, plan.kernels.result_bytes(len(units))
+
+
+def serve_reissues(
+    plan: ExecutionPlan,
+    exec_num: bool,
+    coord: int,
+    batch_tag: str,
+    result_tag: str,
+    release_tag: str,
+) -> Iterator[Any]:
+    """A held worker's last phase: compute each batch of re-issued units
+    the coordinator sends (one unit at a time, exactly as in a fault-free
+    run) and send its result back, until the coordinator releases it."""
+    while True:
+        msg = yield Recv(src=coord)
+        if msg.tag == release_tag:
+            return
+        if msg.tag == batch_tag:
+            units, batch = msg.payload["units"], msg.payload.get("data")
+            for u in units:
+                yield unit_work(plan, (u,), batch, exec_num)
+            yield Send(coord, result_tag, *result_part(plan, units, batch, exec_num))
+
+
+class CustodyLedger:
+    """Which units' results a coordinator has gathered.
+
+    :meth:`gather` keeps the first result of each unit; a part that
+    repeats a unit is cut down to its new units (``merge_results`` reads
+    ``data[units]``) and counted in ``duplicates``.  The coordinator
+    sets ``closed`` when it has finished.
+    """
+
+    def __init__(self, units: range):
+        self._missing = set(units)
+        self.parts: list[tuple[tuple[int, ...], Any]] = []
+        self.duplicates = 0
+        self.closed = False
+
+    @property
+    def complete(self) -> bool:
+        return not self._missing
+
+    def gather(self, units: Sequence[int], data: Any) -> bool:
+        """Record one gathered part; False when it held no new unit."""
+        new = tuple(u for u in units if u in self._missing)
+        if len(new) < len(units):
+            self.duplicates += 1
+        if not new:
+            return False
+        self._missing.difference_update(new)
+        self.parts.append((new, data))
+        return True
+
+    def missing(self) -> tuple[int, ...]:
+        return tuple(sorted(self._missing))
+
+
 class BagRun:
     """One bag-of-units run, from entry validation to its result.
 
     The constructor validates the entry and builds the cluster.  The
     plane then spawns its tasks (workers on pids ``0..n-1``, taking
-    their share from :meth:`split`; its coordinator stores the gathered
-    ``(units, data)`` parts in ``sink["parts"]``), calls :meth:`run`
-    and returns :meth:`result`.
+    their share from :meth:`split`; its coordinator gathers the
+    workers' ``(units, data)`` parts into ``ledger`` and closes it),
+    calls :meth:`run` and returns :meth:`result`.
 
     ``plane`` names the plane in error messages.  ``refuse`` is the
     plane's fault-plan check: it returns why the plane cannot run a
@@ -184,7 +264,7 @@ class BagRun:
         lo, hi = plan.unit_space()
         self.total = hi - lo
         self.stats: dict[str, int] = {}
-        self.sink: dict[str, Any] = {}
+        self.ledger = CustodyLedger(range(lo, hi))
 
     def split(self) -> Iterator[tuple[int, tuple[int, ...], Any]]:
         """The even initial split: ``(worker pid, units, local state)``."""
@@ -202,6 +282,84 @@ class BagRun:
             )
             yield pid, units, local
 
+    def batch(self, units: tuple[int, ...]) -> tuple[dict[str, Any], int]:
+        """Units handed to a worker with their input made from the global
+        state: ``(payload, nbytes)``."""
+        payload: dict[str, Any] = {"units": units}
+        if not self.exec_num:
+            return payload, len(units) * self.plan.movement.unit_bytes
+        kernels = self.plan.kernels
+        payload["data"] = kernels.make_local(self.global_state, np.asarray(units))
+        return payload, kernels.input_bytes(len(units))
+
+    def notices(self, ctx: Any, dead: set[int], plane: str | None) -> list[int]:
+        """New crash notices: dead pids not yet in ``dead`` (which holds
+        only dead pids), added to it and to ``plane``'s obs counters."""
+        cluster = self.cluster
+        if cluster.n_dead == len(dead):
+            return []
+        fresh = sorted(cluster.dead_pids - dead)
+        dead.update(fresh)
+        obs = ctx.obs
+        if plane is not None and obs.enabled:
+            for pid in fresh:
+                obs.metrics.counter(f"{plane}.deaths").inc()
+                obs.emit_counter(
+                    plane, "death", ctx.now, 1.0, pid=ctx.pid, meta={"dead": pid}
+                )
+        return fresh
+
+    def recover(
+        self,
+        ctx: Any,
+        dead: set[int],
+        waiting: set[int],
+        poll: Any,
+        reissue: Callable[[int, dict[str, Any], int], Any] | None,
+        *,
+        plane: str,
+        tick: float,
+        give_up: float,
+    ) -> Iterator[Any]:
+        """Gather results into the ledger, re-issuing what crashes lost.
+
+        Polls ``poll`` until every pid in ``waiting`` has answered or
+        died, or ``give_up`` seconds pass.  Then, given ``reissue`` (the
+        plane's send of a batch), the missing units go to the live
+        workers and are gathered the same way, round after round.  What
+        no worker is left to take, the coordinator computes itself.
+        """
+        ledger = self.ledger
+        while True:
+            start = ctx.now
+            waiting -= dead
+            while waiting:
+                msg = yield poll
+                now = ctx.now
+                if msg is not None:
+                    ledger.gather(msg.payload["units"], msg.payload.get("data"))
+                    waiting.discard(msg.src)
+                    continue
+                waiting.difference_update(self.notices(ctx, dead, plane))
+                if now - start > give_up:
+                    break
+                yield Sleep(tick)
+            # The re-issue rule: deal the missing units out to the live
+            # workers; the first result of each unit wins.
+            missing = ledger.missing()
+            live = [pid for pid in range(self.n) if pid not in dead]
+            if reissue is None or waiting or not missing or not live:
+                break
+            for i, pid in enumerate(live[: len(missing)]):
+                yield reissue(pid, *self.batch(missing[i :: len(live)]))
+                waiting.add(pid)
+        if missing:
+            local = self.batch(missing)[0].get("data")
+            for u in missing:
+                yield unit_work(self.plan, (u,), local, self.exec_num)
+            part = result_part(self.plan, missing, local, self.exec_num)[0]
+            ledger.gather(missing, part.get("data"))
+
     def run(self) -> None:
         """Run the spawned tasks, bounded by ``run_cfg.max_virtual_time``.
 
@@ -211,7 +369,7 @@ class BagRun:
         """
         cluster = self.cluster
         cluster.run(until=self.run_cfg.max_virtual_time)
-        if "parts" in self.sink:
+        if self.ledger.closed:
             return
         if cluster.engine.pending():
             raise SimulationError(
@@ -230,19 +388,19 @@ class BagRun:
             for pid in range(self.spec.n_processors)
             if pid not in cluster.dead_pids
         )
-        parts = self.sink["parts"]
-        completed = sum(len(units) for units, _ in parts)
+        ledger = self.ledger
         result = None
         if self.exec_num:
             # Gathered parts hold disjoint units, so merge_results can
             # take them in any order and at any granularity.
             merged = {
                 i: (np.asarray(units), data)
-                for i, (units, data) in enumerate(parts)
-                if data is not None and len(units)
+                for i, (units, data) in enumerate(ledger.parts)
+                if data is not None
             }
             if merged:
                 result = self.plan.kernels.merge_results(self.global_state, merged)
+        lost = len(ledger.missing())
         return cls(
             name=self.plan.name,
             n_slaves=self.n,
@@ -251,9 +409,9 @@ class BagRun:
             rusage=cluster.rusage(elapsed),
             message_count=cluster.message_count,
             bytes_sent=cluster.bytes_sent,
-            completed_units=completed,
-            lost_units=self.total - completed,
-            deaths=self.stats.get("deaths", 0),
+            completed_units=self.total - lost,
+            lost_units=lost,
+            deaths=cluster.n_dead,
             dead_pids=tuple(sorted(cluster.dead_pids)),
             result=result,
             recorder=self.recorder,

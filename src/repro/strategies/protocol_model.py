@@ -12,18 +12,20 @@ exhaustive verification (``repro check --model --model-plane steal``):
   (tag-selectively reordered) ``st.steal`` is denied rather than served
   twice, while the thief accepts late ``st.work`` unconditionally
   (stolen units must never be dropped).
-- **The coordinator** never touches units: it terminates the run
-  (``st.term`` broadcast, then gathers ``st.result``) once the reported
-  done counts cover every unit — or, after a crash, once every live
-  worker has reported itself idle (the time-free abstraction of the
-  runtime's post-death stall grace).
-- **Crashes.**  Workers named in ``crashable`` may crash at any
-  pre-termination point; an accurate-failure-detector oracle message
+- **The coordinator** broadcasts ``st.term`` once the reported done
+  counts cover every unit or, after a crash, every live worker is idle;
+  workers finish their units and answer ``st.result``.  After a crash
+  the broadcast holds them: the coordinator re-issues the units no
+  result covers (its own ``st.work``) until none is missing, computes
+  what no live worker can take, and releases them with a final
+  ``st.term``.  It must close with every unit gathered (``RA701``).
+- **Crashes.**  Workers named in ``crashable`` may crash at any point
+  before their release; an accurate-failure-detector oracle message
   (pseudo-source ``fd``) informs the coordinator, exactly as in the FT
-  model.  Units owned by (or in flight to) a crashed worker are
-  lost-with-the-dead but never lose *custody* in the model, so the
-  conservation invariant stays exact: every unit is always held by
-  exactly one worker local or one in-flight ``st.work`` payload.
+  model.  Stealing custody stays exact: every unit is always held by
+  exactly one worker (crashed ones included) or one in-flight
+  worker-to-worker ``st.work`` payload; re-issued copies are kept apart
+  from it.
 
 The steal request counter is bounded by ``max_steals`` (a thief that
 exhausts its attempts parks until ``st.work`` or ``st.term`` arrives),
@@ -39,8 +41,9 @@ during development; the sweep stays at 1 to keep ``repro check
 
 ``MUTATIONS`` seeds protocol corruptions the checker must catch:
 dropping the termination broadcast (deadlock), forgetting stolen units
-on serve (loss), serving units twice (duplication), and a thief
-ignoring post-abort work (loss).
+on serve (loss), serving units twice (duplication), a thief ignoring
+post-abort work (loss), and a coordinator that terminates without
+re-issuing what a crash lost (loss).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ MUTATIONS: dict[str, str] = {
     "lose_stolen_units": "the victim forgets stolen units when serving",
     "double_serve": "the victim serves units it already gave away",
     "ignore_late_work": "a thief drops st.work arriving after its abort",
+    "skip_reissue": "the coordinator terminates with a crash's units lost",
 }
 
 
@@ -82,7 +86,7 @@ class WLocal(NamedTuple):
     remaining: frozenset[int]
     done: frozenset[int]
     drained: frozenset[int]  # late st.work absorbed after termination
-    phase: str  # "run" | "wait" | "term" | "crashed"
+    phase: str  # "run" | "wait" | "held" | "term" | "crashed"
     next_req: int
     outstanding: tuple[str, int] | None  # (victim, req) awaiting reply
     steals_left: int
@@ -96,7 +100,10 @@ class CLocal(NamedTuple):
     rem_of: tuple[tuple[str, int], ...]  # sorted worker -> remaining count
     dead: frozenset[str]
     termed: bool
-    results: frozenset[str]
+    hold: bool  # the broadcast held the workers for re-issue
+    waiting: frozenset[str]  # workers whose st.result is due
+    gathered: frozenset[int]  # the custody ledger
+    closed: bool
 
 
 def _get(table: tuple[tuple[str, int], ...], name: str) -> int:
@@ -161,6 +168,17 @@ class StealWorker:
             payload = msg.payload
             assert isinstance(payload, tuple)
             units = frozenset(int(u) for u in payload)
+            if msg.src == COORD:
+                # Re-issued units (only sent to a held worker), input
+                # included: compute them and hand their results over.
+                yield Step(
+                    actor=self.name,
+                    label=f"reissued({sorted(units)})",
+                    next_state=s,
+                    consumed=msg,
+                    sends=(Msg(self.name, COORD, "st.result", payload),),
+                )
+                continue
             if self.mutation == "ignore_late_work" and s.outstanding is None:
                 # BUG: the thief already aborted, so it throws the
                 # stolen units away instead of accepting them.
@@ -171,10 +189,10 @@ class StealWorker:
                     consumed=msg,
                 )
                 continue
-            if s.phase == "term":
-                # Post-termination arrival (only reachable after a
-                # crash-triggered give-up): the units' results are lost
-                # with the run, but custody is still accounted.
+            if s.phase in ("held", "term"):
+                # Post-termination arrival: no result will carry these
+                # units, so the coordinator's ledger misses them and
+                # re-issues them; custody is still accounted.
                 yield Step(
                     actor=self.name,
                     label=f"work({sorted(units)}: drained after term)",
@@ -219,7 +237,7 @@ class StealWorker:
             if (
                 (thief, req) in s.aborted
                 or k < 1
-                or s.phase == "term"
+                or s.phase in ("held", "term")
             ):
                 yield Step(
                     actor=self.name,
@@ -262,15 +280,32 @@ class StealWorker:
 
         # -- intake: st.term ------------------------------------------------
         for msg in selective(pending, lambda m: m.tag == "st.term"):
-            if s.phase != "term":
+            payload = msg.payload
+            assert isinstance(payload, tuple)
+            hold = bool(payload and payload[0])
+            if s.phase in ("run", "wait"):
+                # Finish the own units, then hand every result over.
+                done = s.done | s.remaining
                 yield Step(
                     actor=self.name,
-                    label="term",
-                    next_state=s._replace(phase="term", outstanding=None),
+                    label="term(hold)" if hold else "term",
+                    next_state=s._replace(
+                        remaining=frozenset(),
+                        done=done,
+                        phase="held" if hold else "term",
+                        outstanding=None,
+                    ),
                     consumed=msg,
                     sends=(
-                        Msg(self.name, COORD, "st.result", (len(s.done),)),
+                        Msg(self.name, COORD, "st.result", tuple(sorted(done))),
                     ),
+                )
+            elif s.phase == "held" and not hold:
+                yield Step(
+                    actor=self.name,
+                    label="release",
+                    next_state=s._replace(phase="term"),
+                    consumed=msg,
                 )
             else:
                 yield Step(
@@ -365,7 +400,10 @@ class StealCoordinator:
             ),
             dead=frozenset(),
             termed=False,
-            results=frozenset(),
+            hold=False,
+            waiting=frozenset(),
+            gathered=frozenset(),
+            closed=False,
         )
 
     def steps(
@@ -399,45 +437,86 @@ class StealCoordinator:
             yield Step(
                 actor=self.name,
                 label=f"crash({victim})",
-                next_state=s._replace(dead=s.dead | {victim}),
+                next_state=s._replace(
+                    dead=s.dead | {victim}, waiting=s.waiting - {victim}
+                ),
                 consumed=msg,
             )
 
         for msg in selective(pending, lambda m: m.tag == "st.result"):
+            payload = msg.payload
+            assert isinstance(payload, tuple)
             yield Step(
                 actor=self.name,
-                label=f"result({msg.src})",
-                next_state=s._replace(results=s.results | {msg.src}),
+                label=f"result({msg.src}: {list(payload)})",
+                next_state=s._replace(
+                    gathered=s.gathered | {int(u) for u in payload},
+                    waiting=s.waiting - {msg.src},
+                ),
                 consumed=msg,
             )
 
+        workers = self.cfg.worker_names()
+        live = [w for w in workers if w not in s.dead]
         if not s.termed and self.mutation != "drop_term":
             done_total = sum(v for _, v in s.done_of)
-            live_idle = all(
-                v == 0
-                for w, v in s.rem_of
-                if w not in s.dead
-            )
+            live_idle = all(_get(s.rem_of, w) == 0 for w in live)
             if done_total >= self.cfg.units or (s.dead and live_idle):
+                hold = bool(s.dead)
                 yield Step(
                     actor=self.name,
-                    label="term-broadcast",
-                    next_state=s._replace(termed=True),
+                    label="term-broadcast(hold)" if hold else "term-broadcast",
+                    next_state=s._replace(
+                        termed=True, hold=hold, waiting=frozenset(live)
+                    ),
                     sends=tuple(
-                        Msg(self.name, w, "st.term", ())
-                        for w in self.cfg.worker_names()
+                        Msg(self.name, w, "st.term", (hold,)) for w in workers
                     ),
                 )
 
+        if not s.termed or s.closed or s.waiting:
+            return
+        missing = sorted(set(range(self.cfg.units)) - s.gathered)
+        if s.hold and missing and live and self.mutation != "skip_reissue":
+            # The re-issue rule: split the missing units over the live
+            # workers; the first result of each unit wins.
+            k = len(live)
+            sends = tuple(
+                Msg(self.name, w, "st.work", tuple(missing[i::k]))
+                for i, w in enumerate(live)
+                if missing[i::k]
+            )
+            yield Step(
+                actor=self.name,
+                label=f"reissue({missing})",
+                next_state=s._replace(waiting=frozenset(m.dst for m in sends)),
+                sends=sends,
+            )
+            return
+        # Nothing missing, or no worker left to take it: the coordinator
+        # computes the rest itself (BUG under skip_reissue: it does not),
+        # then releases the held workers.
+        computed = frozenset(() if self.mutation == "skip_reissue" else missing)
+        yield Step(
+            actor=self.name,
+            label=f"close(computed {missing})" if computed else "close",
+            next_state=s._replace(closed=True, gathered=s.gathered | computed),
+            sends=tuple(
+                Msg(self.name, w, "st.term", (False,)) for w in live if s.hold
+            ),
+        )
+
 
 def unit_conservation(cfg: StealConfig) -> Invariant:
-    """Every unit has exactly one custodian at all times.
+    """Stealing keeps one custodian per unit; termination gathers all.
 
     Custodians: any worker's ``remaining``/``done``/``drained`` set
-    (crashed workers included — units die *with* them, they do not
-    vanish), or an in-flight ``st.work`` payload on any channel
-    (including channels to a crashed thief: the message is ghost data
-    but it is where the units are).
+    (crashed workers included: the units a crash lost are still *where*
+    they were), or an in-flight worker-to-worker ``st.work`` payload
+    (including one to a crashed thief).  Re-issued copies (the
+    coordinator's ``st.work``) are a second execution, not custody.
+    Once the coordinator has closed, its ledger must hold every unit
+    (``RA701``).
     """
 
     def check(
@@ -446,13 +525,21 @@ def unit_conservation(cfg: StealConfig) -> Invariant:
     ) -> tuple[str, str] | None:
         counts = {u: 0 for u in range(cfg.units)}
         for _name, local in locals_.items():
+            if isinstance(local, CLocal) and local.closed:
+                ungathered = sorted(set(counts) - local.gathered)
+                if ungathered:
+                    return (
+                        "RA701",
+                        f"unit(s) {ungathered} never gathered (lost with a "
+                        f"crashed worker)",
+                    )
             if not isinstance(local, WLocal):
                 continue
             for u in local.remaining | local.done | local.drained:
                 counts[u] = counts.get(u, 0) + 1
-        for _key, msgs in channels.items():
+        for (src, _dst), msgs in channels.items():
             for msg in msgs:
-                if msg.tag != "st.work":
+                if msg.tag != "st.work" or src == COORD:
                     continue
                 payload = msg.payload
                 assert isinstance(payload, tuple)
@@ -487,16 +574,11 @@ def build_model(
     def terminal(locals_: Mapping[str, Hashable]) -> bool:
         coord = locals_[COORD]
         assert isinstance(coord, CLocal)
-        if not coord.termed:
-            return False
-        for name, local in locals_.items():
-            if not isinstance(local, WLocal):
-                continue
-            if local.phase == "crashed":
-                continue
-            if local.phase != "term" or name not in coord.results:
-                return False
-        return True
+        return coord.closed and all(
+            local.phase in ("term", "crashed")
+            for local in locals_.values()
+            if isinstance(local, WLocal)
+        )
 
     def dead_of(locals_: Mapping[str, Hashable]) -> frozenset[str]:
         return frozenset(
@@ -523,7 +605,7 @@ def build_model(
         notes=(
             "steal/deny/abort with tag-selective reordering; bounded "
             f"steal attempts ({cfg.max_steals}); accurate-FD crash "
-            "oracle; coordinator termination by report counts with "
-            "post-death idle give-up"
+            "oracle; coordinator termination by report counts, then "
+            "gather and re-issue of what a crash lost"
         ),
     )

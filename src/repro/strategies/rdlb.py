@@ -22,11 +22,14 @@ slowed worker's chunk is simply finished by someone else.  With
 ``dup_max=1`` (the classic chunkings in the strategy registry) a chunk
 is reissued only when its holder has crashed.
 
-Crashes are learned from ``ctx.cluster.dead_pids``: the simulator's
+Crashes are learned from crash notices
+(:meth:`~repro.strategies.bagplane.BagRun.notices`): the simulator's
 form of a host-failure notice (a closed connection, PVM's
 ``pvm_notify``), the same accurate failure detector the protocol model
 assumes.  A worker that is merely slow is never declared dead, however
-long its chunk runs.
+long its chunk runs.  The first result of each unit wins, and later
+copies are counted as duplicates (the custody ledger of
+:mod:`repro.strategies.bagplane`).
 
 The cost is the self-scheduling cost the paper's iteration-ownership
 design avoids — every chunk ships its input data from the master and
@@ -42,8 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping
-
-import numpy as np
 
 from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig
@@ -225,27 +226,17 @@ def _rdlb_worker(ctx, plan: ExecutionPlan, rc: RdlbConfig, exec_num: bool):
             report["data"] = kernels.local_result(local)
 
 
-def _rdlb_master(
-    ctx,
-    plan: ExecutionPlan,
-    rc: RdlbConfig,
-    exec_num: bool,
-    global_state,
-    n_workers: int,
-    stats: dict,
-    sink: dict,
-):
+def _rdlb_master(ctx, bag: BagRun, rc: RdlbConfig):
     obs = ctx.obs
-    kernels = plan.kernels
-    lo, hi = plan.unit_space()
-    total = hi - lo
+    n_workers = bag.n
+    stats = bag.stats
+    ledger = bag.ledger
+    lo, hi = bag.plan.unit_space()
     queue = list(range(lo, hi))
-    policy = _make_policy(rc, total, n_workers)
+    policy = _make_policy(rc, hi - lo, n_workers)
     outstanding: dict[int, _Chunk] = {}
     next_chunk = 0
-    done_units = 0
     chunks_served = 0
-    parts: list[tuple[tuple[int, ...], Any]] = []
     dead: set[int] = set()
     stopped: set[int] = set()
 
@@ -288,7 +279,7 @@ def _rdlb_master(
         """Answer one request: work, a reissue, retry-later, or stop."""
         cut = _cut(pid, now)
         if cut is None:
-            if done_units >= total:
+            if ledger.complete:
                 stopped.add(pid)
                 yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
             else:
@@ -299,47 +290,27 @@ def _rdlb_master(
                 )
             return
         cid, units = cut
-        payload: dict[str, Any] = {"chunk": cid, "units": units}
-        if exec_num:
-            payload["data"] = kernels.make_local(global_state, np.asarray(units))
-        nbytes = (
-            kernels.input_bytes(len(units))
-            if exec_num
-            else len(units) * plan.movement.unit_bytes
-        )
+        payload, nbytes = bag.batch(units)
+        payload["chunk"] = cid
         yield Send(pid, Tags.WORK, payload, nbytes)
 
-    while done_units < total and len(dead) < n_workers:
+    while not ledger.complete and len(dead) < n_workers:
         msg = yield Poll(tag=Tags.REQUEST)
         now = ctx.now
-        for pid in sorted(ctx.cluster.dead_pids - dead):
+        for pid in bag.notices(ctx, dead, "robust"):
             # Crash notice: free the dead worker's chunks for reissue.
-            dead.add(pid)
-            stats["deaths"] = stats.get("deaths", 0) + 1
             for ch in outstanding.values():
                 ch.assignees.discard(pid)
-            if obs.enabled:
-                obs.metrics.counter("robust.deaths").inc()
-                obs.emit_counter(
-                    "robust", "death", now, 1.0, pid=ctx.pid,
-                    meta={"dead": pid},
-                )
         if msg is None:
             yield Sleep(rc.tick)
             continue
         pid = msg.src
         p = msg.payload
         if p is not None:
-            cid = int(p["chunk"])
-            ch = outstanding.pop(cid, None)
-            if ch is not None:
-                done_units += len(ch.units)
-                parts.append((p["units"], p.get("data")))
-            else:
+            outstanding.pop(int(p["chunk"]), None)
+            if not ledger.gather(p["units"], p.get("data")) and obs.enabled:
                 # The other assignee finished first: duplicate result.
-                stats["duplicates"] = stats.get("duplicates", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("robust.duplicates").inc()
+                obs.metrics.counter("robust.duplicates").inc()
         if pid not in dead:  # a request sent just before its host crashed
             yield from _serve(pid, now)
 
@@ -351,14 +322,14 @@ def _rdlb_master(
             yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
 
     # Units are lost only when every worker crashed.
-    lost = total - done_units
+    lost = len(ledger.missing())
     if lost and obs.enabled:
         obs.metrics.counter("robust.lost_units").inc(lost)
     stats["chunks"] = chunks_served
-    sink["parts"] = parts
+    ledger.closed = True
 
 
-def _refuse_faults(faults: FaultPlan) -> str | None:
+def refuse_faults(faults: FaultPlan) -> str | None:
     if faults.message_faults or faults.partitions:
         return (
             "it accepts worker crashes and stalls only, not message faults "
@@ -394,26 +365,16 @@ def run_rdlb(
         seed=seed,
         recorder=recorder,
         faults=faults,
-        refuse=_refuse_faults,
+        refuse=refuse_faults,
     )
     for pid in range(bag.n):
         bag.cluster.spawn(pid, _rdlb_worker, plan, rc, bag.exec_num)
-    bag.cluster.spawn(
-        run_cfg.cluster.master_pid,
-        _rdlb_master,
-        plan,
-        rc,
-        bag.exec_num,
-        bag.global_state,
-        bag.n,
-        bag.stats,
-        bag.sink,
-    )
+    bag.cluster.spawn(run_cfg.cluster.master_pid, _rdlb_master, bag, rc)
     bag.run()
     return bag.result(
         RdlbResult,
         chunking=rc.chunking,
         chunks_served=bag.stats.get("chunks", 0),
         reassigns=bag.stats.get("reassigns", 0),
-        duplicate_results=bag.stats.get("duplicates", 0),
+        duplicate_results=bag.ledger.duplicates,
     )

@@ -29,6 +29,7 @@ __all__ = [
     "STRATEGIES",
     "StrategyOutcome",
     "available_strategies",
+    "refuse_faults",
     "run_strategy",
 ]
 
@@ -115,6 +116,18 @@ def _wrap(strategy: str, res: PlaneResult) -> StrategyOutcome:
     )
 
 
+def refuse_faults(strategy: str, faults: FaultPlan) -> str | None:
+    """Why the named strategy's plane refuses ``faults`` at entry, or
+    None; asked without running anything."""
+    if strategy in ("rate", "hier", "stealing"):
+        return None
+    if strategy == "diffusion":
+        from ..baselines import diffusion as plane
+    else:  # rdlb and the classic chunkings
+        from . import rdlb as plane
+    return plane.refuse_faults(faults)
+
+
 def run_strategy(
     strategy: str,
     plan,
@@ -129,10 +142,11 @@ def run_strategy(
 ) -> StrategyOutcome:
     """Run ``plan`` under the named strategy and normalize the outcome.
 
-    Each plane checks the fault plan at entry: ``diffusion`` has no
-    fault hooks, ``rate``/``hier`` recover from sub-master crashes only
-    and ``rdlb`` (with the classic chunkings) accepts crashes and stalls;
-    a plan a plane cannot run is a :class:`ConfigError`.
+    Each plane checks the fault plan at entry (:func:`refuse_faults`):
+    ``diffusion`` has no fault hooks, ``rdlb`` (with the classic
+    chunkings) accepts crashes and stalls, and ``rate``/``hier``/
+    ``stealing`` accept every kind; a plan a plane cannot run is a
+    :class:`ConfigError`.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(

@@ -12,13 +12,12 @@ Protocol (see :class:`~repro.strategies.protocol.StealTags`): STEAL is
 answered by WORK (steal-half) or DENY; a thief whose victim stays silent
 past ``steal_timeout`` sends ABORT and moves on, but still accepts a
 late WORK so no units are lost in flight.  A passive coordinator counts
-cumulative ``done`` from periodic reports, learns of crashed workers
-from ``ctx.cluster.dead_pids`` (the simulator's form of a host-failure
-notice, the accurate failure detector the protocol model assumes), and
-terminates when every unit is accounted for — or, after a death, when
-all live workers have been idle for ``stall_grace`` (the dead worker's
-units are then reported as lost, never hung).  A worker stuck in a long
-unit is never mistaken for a dead one.
+cumulative ``done`` from periodic reports and terminates when every unit
+is accounted for.  Steals move units worker to worker, so it sees only
+counts: after a crash notice it lets the live workers drain, then
+gathers and re-issues what is missing
+(:meth:`~repro.strategies.bagplane.BagRun.recover`).  A worker stuck in
+a long unit is never mistaken for a dead one.
 
 Supports PARALLEL_MAP plans: the bag-of-units custody model has no
 meaning for dependence-carrying shapes.
@@ -37,7 +36,7 @@ from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
 from ..sim import LoadGenerator, Poll, Send, Sleep
-from .bagplane import BagRun, PlaneResult, unit_work
+from .bagplane import BagRun, PlaneResult, result_part, serve_reissues, unit_work
 from .protocol import StealTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -63,12 +62,9 @@ class StealingConfig:
         deny_backoff: how long a denied thief avoids the same victim.
         suspect_backoff: how long a timed-out thief avoids the victim
             (it is probably dead; much longer than deny_backoff).
-        stall_grace: after a death, how long the system must be globally
-            idle (no progress, all live workers empty) before the dead
-            worker's units are declared lost and the run terminated.
         hard_stall: unconditional no-progress bound; termination is
-            forced even without a detected death so a run can never
-            hang (covers unmodeled unit loss, e.g. dropped messages).
+            forced so a run can never hang, even when messages are lost
+            past the transport's retries (no notice exists for those).
     """
 
     report_period: float = 0.5
@@ -78,7 +74,6 @@ class StealingConfig:
     steal_timeout: float = 0.5
     deny_backoff: float = 0.2
     suspect_backoff: float = 2.0
-    stall_grace: float = 2.0
     hard_stall: float = 60.0
 
     def __post_init__(self) -> None:
@@ -92,8 +87,8 @@ class StealingConfig:
             raise ConfigError("steal_timeout must be positive")
         if self.deny_backoff <= 0 or self.suspect_backoff <= 0:
             raise ConfigError("backoffs must be positive")
-        if self.stall_grace <= 0 or self.hard_stall <= self.stall_grace:
-            raise ConfigError("need 0 < stall_grace < hard_stall")
+        if self.hard_stall <= 0:
+            raise ConfigError("hard_stall must be positive")
 
 
 @dataclass(kw_only=True)
@@ -146,10 +141,11 @@ def _worker_task(
     # Requests this *victim* saw an ABORT for before the STEAL arrived.
     aborted_reqs: set[tuple[int, int]] = set()
     terminated = False
+    hold = False  # after a crash: stay for re-issued units
 
     def _intake():
         """Drain the mailbox: thief, victim and termination arms."""
-        nonlocal outstanding, terminated
+        nonlocal outstanding, terminated, hold
         while True:
             msg = yield Poll()
             if msg is None:
@@ -210,6 +206,7 @@ def _worker_task(
                 aborted_reqs.add((int(msg.payload["thief"]), int(msg.payload["req"])))
             elif tag == Tags.TERM:
                 terminated = True
+                hold = bool(msg.payload)
                 return
 
     while not terminated:
@@ -267,39 +264,23 @@ def _worker_task(
             last_report = now
             units_since = 0
 
-    payload = {"units": tuple(done_units)}
-    if exec_num:
-        payload["data"] = kernels.local_result(local)
-    nbytes = kernels.result_bytes(len(done_units)) if exec_num else 64
-    yield Send(coord, Tags.RESULT, payload, nbytes)
+    for u in pending:  # stolen units that arrived after the last report
+        yield unit_work(plan, (u,), local, exec_num)
+    done_units.extend(pending)
+    yield Send(coord, Tags.RESULT, *result_part(plan, done_units, local, exec_num))
+    if hold:
+        yield from serve_reissues(
+            plan, exec_num, coord, Tags.WORK, Tags.RESULT, Tags.TERM
+        )
 
 
-def _coord_task(
-    ctx,
-    n_workers: int,
-    total_units: int,
-    sc: StealingConfig,
-    stats: dict,
-    sink: dict,
-):
-    """Passive coordinator: termination detection + gather only."""
-    obs = ctx.obs
-    now = ctx.now
+def _coord_task(ctx, bag: BagRun, sc: StealingConfig):
+    """Passive coordinator: termination detection, gather and re-issue."""
+    n_workers = bag.n
     done_of = {pid: 0 for pid in range(n_workers)}
-    rem_of = {pid: 0 for pid in range(n_workers)}
+    rem_of = {pid: 1 for pid in range(n_workers)}  # busy until it reports
     dead: set[int] = set()
-    last_progress = now
-
-    def _notice_crashes(now: float) -> None:
-        for pid in sorted(ctx.cluster.dead_pids - dead):
-            dead.add(pid)
-            stats["deaths"] = stats.get("deaths", 0) + 1
-            if obs.enabled:
-                obs.metrics.counter("steal.deaths").inc()
-                obs.emit_counter(
-                    "steal", "death", now, 1.0, pid=ctx.pid,
-                    meta={"dead": pid, "last_remaining": rem_of[pid]},
-                )
+    last_progress = ctx.now
 
     while True:
         progressed = False
@@ -315,46 +296,38 @@ def _coord_task(
         now = ctx.now
         if progressed:
             last_progress = now
-        done_total = sum(done_of.values())
-        if done_total >= total_units:
+        bag.notices(ctx, dead, "steal")
+        if sum(done_of.values()) >= bag.total:
             break
-        _notice_crashes(now)
         live = [pid for pid in range(n_workers) if pid not in dead]
-        if not live:
-            break
-        if (
-            dead
-            and now - last_progress > sc.stall_grace
-            and all(rem_of[pid] == 0 for pid in live)
-        ):
-            # Globally idle after a death: the missing units died with
-            # the crashed worker(s).  Terminate and report them lost.
-            break
+        if not live or (dead and all(rem_of[pid] == 0 for pid in live)):
+            break  # every live worker drained: gather, then re-issue
         if now - last_progress > sc.hard_stall:
             break  # unconditional: a stealing run must never hang
         yield Sleep(sc.tick)
 
-    done_total = sum(done_of.values())
-    lost = max(0, total_units - done_total)
-    if lost and obs.enabled:
-        obs.metrics.counter("steal.lost_units").inc(lost)
+    # TERM asks for each worker's results; after a crash it also holds
+    # the worker for the re-issue of the units the crash lost.
+    hold = bool(dead)
     for pid in range(n_workers):
-        yield Send(pid, Tags.TERM, None, 16)
-    # Gather until every worker has either sent its RESULT or crashed: a
-    # worker that crashes after TERM never sends one.
-    results = {}
-    gather_start = ctx.now
-    while len(results.keys() | dead) < n_workers:
-        msg = yield Poll(tag=Tags.RESULT)
-        now = ctx.now
-        if msg is not None:
-            results[msg.src] = msg.payload
-            continue
-        _notice_crashes(now)
-        if now - gather_start > sc.hard_stall:
-            break  # unconditional: a stealing run must never hang
-        yield Sleep(sc.tick)
-    sink["parts"] = [(r["units"], r.get("data")) for r in results.values()]
+        yield Send(pid, Tags.TERM, hold, 16)
+    yield from bag.recover(
+        ctx,
+        dead,
+        set(range(n_workers)),
+        Poll(tag=Tags.RESULT),
+        (lambda pid, payload, nbytes: Send(pid, Tags.WORK, payload, nbytes))
+        if hold
+        else None,
+        plane="steal",
+        tick=sc.tick,
+        give_up=sc.hard_stall,
+    )
+    if hold:
+        for pid in range(n_workers):
+            if pid not in dead:
+                yield Send(pid, Tags.TERM, False, 16)
+    bag.ledger.closed = True
 
 
 def run_stealing(
@@ -371,9 +344,9 @@ def run_stealing(
 
     ``run_cfg.cluster.n_slaves`` is the worker count; the termination
     coordinator runs on the master processor.  Every fault kind is
-    accepted.  Worker crashes are tolerated: their units are reported
-    lost (the coordinator never hangs), everything computed elsewhere is
-    still gathered.
+    accepted.  A crashed worker's un-gathered units are re-issued to the
+    live workers, or computed by the coordinator when none is left to
+    take them, so no unit is lost.
     """
     run_cfg = run_cfg or RunConfig()
     sc = stealing or StealingConfig()
@@ -392,9 +365,7 @@ def run_stealing(
         bag.cluster.spawn(
             pid, _worker_task, plan, bag.exec_num, units, local, n, sc, stats, seed
         )
-    bag.cluster.spawn(
-        run_cfg.cluster.master_pid, _coord_task, n, bag.total, sc, stats, bag.sink
-    )
+    bag.cluster.spawn(run_cfg.cluster.master_pid, _coord_task, bag, sc)
     bag.run()
     return bag.result(
         StealingResult,

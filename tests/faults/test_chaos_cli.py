@@ -94,3 +94,55 @@ def test_faults_none_reproduces_fault_free_trace_byte_for_byte():
     assert none_events == base_events
     assert none_res.elapsed == base_res.elapsed
     assert none_res.retransmits == 0 and none_res.dead_pids == ()
+
+
+@pytest.mark.parametrize(
+    "control,extra",
+    [("stealing", ["--slaves", "4"]), ("hier", ["--slaves", "8", "--fanout", "2"])],
+)
+def test_bag_chaos_matrix_recovers_every_cell(control, extra, capsys, tmp_path):
+    out_json = tmp_path / "matrix.json"
+    rc = main(
+        ["chaos", "matmul", "-n", "24", "--seed", "11", "--control", control]
+        + extra
+        + ["--json", str(out_json)]
+    )
+    assert rc == 0
+    assert "FAILED" not in capsys.readouterr().out
+    matrix = json.loads(out_json.read_text())
+    assert matrix["ok"] is True and matrix["control"] == control
+    cells = matrix["cells"]
+    assert len(cells) == (4 if control == "hier" else 2)
+    for cell in cells:
+        assert cell["outcome"] == "recovered", cell
+        assert cell["lost_units"] == 0 and cell["deaths"] >= 1
+        assert cell["result_matches_baseline"]
+    if control == "hier":
+        plans = {c["plan"]: c for c in cells}
+        assert plans["hier-first-submaster"]["reparents"] >= 1
+        assert plans["hier-first-leaf"]["crash_pid"] == 0
+
+
+@pytest.mark.parametrize(
+    "app,strategy,why",
+    [
+        ("sor", "rate", "PARALLEL_MAP"),
+        ("matmul", "diffusion", "no fault hooks"),
+    ],
+)
+def test_run_refuses_before_calibrating(app, strategy, why, capsys, monkeypatch):
+    """A plane's refusal prints ``run: ...`` and exits 2 without a
+    traceback and before any simulated run."""
+    import repro.strategies.bagplane as bagplane
+
+    def no_run(self):
+        raise AssertionError("a refused plan must not run")
+
+    monkeypatch.setattr(bagplane.BagRun, "run", no_run)
+    rc = main(
+        ["run", app, "-n", "32", "--slaves", "4", "--strategy", strategy,
+         "--faults", "one-crash"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert out.startswith("run: ") and why in out

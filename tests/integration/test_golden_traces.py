@@ -30,6 +30,7 @@ from repro.obs import Recorder
 from repro.runtime import run_application
 from repro.scale import run_hierarchical
 from repro.sim import ConstantLoad, OscillatingLoad
+from repro.strategies import run_rdlb, run_stealing
 
 GOLDENS_PATH = Path(__file__).with_name("golden_traces.json")
 
@@ -77,6 +78,14 @@ HIER_CASES = {
 }
 
 
+# Fault-free bag planes with their own coordinators: pins that a
+# fault-free run never enters the crash-recovery path.
+BAG_CASES = {
+    "stealing_matmul": run_stealing,
+    "rdlb_matmul": run_rdlb,
+}
+
+
 def _result_digest(obj, h: "hashlib._Hash") -> None:
     if obj is None:
         h.update(b"none")
@@ -94,6 +103,8 @@ def _result_digest(obj, h: "hashlib._Hash") -> None:
 def run_case(name: str) -> dict:
     if name in HIER_CASES:
         return _run_hier_case(name)
+    if name in BAG_CASES:
+        return _run_bag_case(name)
     plan, cfg, loads = CASES[name]()
     recorder = Recorder()
     res = run_application(plan, cfg, loads=loads, seed=7, recorder=recorder)
@@ -146,6 +157,33 @@ def _run_hier_case(name: str) -> dict:
     }
 
 
+def _run_bag_case(name: str) -> dict:
+    recorder = Recorder()
+    res = BAG_CASES[name](
+        build_matmul(n=48),
+        RunConfig(cluster=ClusterSpec(n_slaves=8, processor=ProcessorSpec(speed=3e4))),
+        {0: ConstantLoad(k=1)},
+        seed=7,
+        recorder=recorder,
+    )
+    trace = recorder.log.to_jsonl().encode("utf-8")
+    rh = hashlib.sha256()
+    _result_digest(res.result, rh)
+    return {
+        "trace_sha256": hashlib.sha256(trace).hexdigest(),
+        "result_sha256": rh.hexdigest(),
+        "metrics": {
+            "elapsed": res.elapsed,
+            "message_count": res.message_count,
+            "bytes_sent": res.bytes_sent,
+            "completed_units": res.completed_units,
+            "lost_units": res.lost_units,
+            "deaths": res.deaths,
+            "trace_events": len(recorder.log),
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     assert GOLDENS_PATH.exists(), (
@@ -155,7 +193,10 @@ def goldens() -> dict:
     return json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES) + sorted(HIER_CASES))
+ALL_CASES = sorted(CASES) + sorted(HIER_CASES) + sorted(BAG_CASES)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_trace_matches_golden(name: str, goldens: dict) -> None:
     assert name in goldens, f"no golden for {name!r}; regenerate goldens"
     got = run_case(name)
@@ -178,7 +219,7 @@ def test_ckpt_case_exercises_snapshot_path(goldens: dict) -> None:
 
 
 if __name__ == "__main__":
-    doc = {name: run_case(name) for name in sorted(CASES) + sorted(HIER_CASES)}
+    doc = {name: run_case(name) for name in ALL_CASES}
     GOLDENS_PATH.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -5,14 +5,9 @@ import pytest
 
 from repro.apps import build_matmul, build_sor
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig, TopologySpec
-from repro.errors import ConfigError
-from repro.faults import FaultPlan, SlaveCrash
-from repro.scale import (
-    build_tree,
-    hier_can_recover,
-    run_hierarchical,
-    synthetic_bag,
-)
+from repro.errors import ConfigError, FaultPlanError
+from repro.faults import FaultPlan, LinkPartition, SlaveCrash
+from repro.scale import build_tree, run_hierarchical, synthetic_bag
 from repro.sim import ConstantLoad
 
 
@@ -69,20 +64,30 @@ class TestBuildTree:
 
 
 class TestRecoverability:
+    """Every leaf and sub-master crash is recovered; the root is the
+    master, which a fault plan cannot target."""
+
+    @staticmethod
+    def _run(faults):
+        return run_hierarchical(
+            synthetic_bag(64, 5e4), cfg(16), fanout=4, faults=faults
+        )
+
     def test_empty_plan_recoverable(self):
-        assert hier_can_recover(build_tree(16, 4), FaultPlan())
+        res = self._run(FaultPlan())
+        assert res.deaths == 0 and res.lost_units == 0
 
     def test_submaster_crash_recoverable(self):
-        plan = FaultPlan(crashes=(SlaveCrash(pid=16, at=1.0),))
-        assert hier_can_recover(build_tree(16, 4), plan)
+        res = self._run(FaultPlan(crashes=(SlaveCrash(pid=16, at=0.4),)))
+        assert res.deaths == 1 and res.lost_units == 0
 
-    def test_leaf_crash_not_recoverable_here(self):
-        plan = FaultPlan(crashes=(SlaveCrash(pid=3, at=1.0),))
-        assert not hier_can_recover(build_tree(16, 4), plan)
+    def test_leaf_crash_recoverable(self):
+        res = self._run(FaultPlan(crashes=(SlaveCrash(pid=3, at=0.4),)))
+        assert res.deaths == 1 and res.lost_units == 0
 
     def test_root_crash_not_recoverable(self):
-        plan = FaultPlan(crashes=(SlaveCrash(pid=20, at=1.0),))
-        assert not hier_can_recover(build_tree(16, 4), plan)
+        with pytest.raises(FaultPlanError, match="master cannot be faulted"):
+            self._run(FaultPlan(crashes=(SlaveCrash(pid=20, at=1.0),)))
 
 
 class TestRunHierarchical:
@@ -180,7 +185,32 @@ class TestSubMasterCrash:
         assert res.deaths == 1
         assert res.elapsed < base.elapsed + 30.0
 
-    def test_leaf_crash_rejected_by_guard(self):
-        tree = build_tree(16, 4)
-        faults = FaultPlan(crashes=(SlaveCrash(pid=2, at=1.0),))
-        assert not hier_can_recover(tree, faults)
+    def test_partitioned_submaster_is_not_dead(self):
+        """A sub-master cut off from the root for 6 s is late, not dead:
+        no death, no re-parenting, and the exact result."""
+        plan = build_matmul(n=48)
+        run_cfg = RunConfig(cluster=ClusterSpec(n_slaves=16))
+        base = run_hierarchical(plan, run_cfg, fanout=4, seed=11)
+        faults = FaultPlan(
+            partitions=(LinkPartition(pid=16, t_start=0.1, t_end=6.1),)
+        )
+        res = run_hierarchical(plan, run_cfg, fanout=4, seed=11, faults=faults)
+        assert res.deaths == 0 and res.reparents == 0
+        assert res.lost_units == 0
+        np.testing.assert_array_equal(res.result, base.result)
+
+
+class TestLeafCrash:
+    @pytest.mark.parametrize("fanout", [None, 2], ids=["rate", "hier"])
+    def test_leaf_crash_recovers_exactly(self, fanout):
+        """The root re-issues a crashed leaf's un-gathered units to the
+        live leaves: nothing is lost and the result is bit-identical."""
+        plan = build_matmul(n=48)
+        base = run_hierarchical(plan, cfg(8, numerics=True), fanout=fanout, seed=3)
+        faults = FaultPlan(crashes=(SlaveCrash(pid=2, at=0.4 * base.elapsed),))
+        res = run_hierarchical(
+            plan, cfg(8, numerics=True), fanout=fanout, seed=3, faults=faults
+        )
+        assert res.dead_pids == (2,) and res.deaths == 1
+        assert res.lost_units == 0 and res.completed_units == 48
+        np.testing.assert_array_equal(res.result, base.result)

@@ -1,8 +1,8 @@
 """Strategy-layer contract tests.
 
 Every PARALLEL_MAP strategy must produce the exact sequential result,
-terminate under a crashed victim (work stealing's steal/deny/abort
-protocol must never hang), account custody honestly (``lost_units``),
+recover from a crashed worker (work stealing's steal/deny/abort
+protocol must never hang, and no plane may lose a unit),
 never declare a slow but live worker dead, and reject plan shapes and
 fault kinds it cannot handle.
 """
@@ -81,8 +81,8 @@ class TestNumericsMatchSequential:
 class TestCrashTermination:
     def test_stealing_terminates_with_crashed_victim(self):
         """Crash the initial owner of a shard mid-run: the run must end
-        (no hung Recv), report the death, and give up at most that
-        worker's un-gathered units."""
+        (no hung Recv), report the death, and re-issue that worker's
+        un-gathered units, so nothing is lost."""
         plan = _plan("adaptive")
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         base = run_strategy("stealing", plan, cfg, seed=SEED)
@@ -91,10 +91,25 @@ class TestCrashTermination:
             crashes=(SlaveCrash(pid=0, at=0.3 * base.elapsed),),
         )
         out = run_strategy("stealing", plan, cfg, seed=SEED, faults=faults)
-        lo, hi = plan.unit_space()
         assert out.dead_pids == (0,)
         assert out.deaths == 1
-        assert 0 <= out.lost_units < (hi - lo)
+        assert out.lost_units == 0
+        assert _close(out.result, _truth(plan))
+
+    @pytest.mark.parametrize("strategy", ["rate", "hier"])
+    def test_tree_recovers_leaf_crash(self, strategy):
+        """The root re-issues a crashed leaf's un-gathered units to the
+        live leaves: nothing is lost and the result is exact."""
+        plan = _plan()
+        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES), max_virtual_time=60.0)
+        base = run_strategy(strategy, plan, cfg, seed=SEED)
+        faults = FaultPlan(name="leaf-crash", crashes=(SlaveCrash(pid=1, at=0.01),))
+        out = run_strategy(strategy, plan, cfg, seed=SEED, faults=faults)
+        assert out.dead_pids == (1,) and out.deaths == 1
+        assert out.lost_units == 0
+        assert set(out.result) == set(base.result)
+        for key in base.result:
+            np.testing.assert_array_equal(out.result[key], base.result[key])
 
     def test_rdlb_reassigns_dead_workers_chunks(self):
         plan = _plan("adaptive")
@@ -178,15 +193,6 @@ class TestFaultKindGuards:
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         with pytest.raises(ConfigError, match="crashes and stalls"):
             run_rdlb(_plan(), cfg, faults=faults)
-
-    @pytest.mark.parametrize("strategy", ["rate", "hier"])
-    def test_tree_rejects_leaf_crash(self, strategy):
-        """A crashed leaf's units die with it: the tree refuses the plan
-        at entry instead of waiting for them until max_virtual_time."""
-        cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES), max_virtual_time=60.0)
-        faults = FaultPlan(name="leaf-crash", crashes=(SlaveCrash(pid=1, at=0.01),))
-        with pytest.raises(ConfigError, match="sub-master crashes only"):
-            run_strategy(strategy, _plan(), cfg, seed=SEED, faults=faults)
 
     def test_diffusion_rejects_faults(self):
         faults = FaultPlan(name="crash", crashes=(SlaveCrash(pid=1, at=0.01),))
